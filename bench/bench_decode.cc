@@ -1,18 +1,19 @@
 // Decoder synthesis throughput: the compiled inference runtime
 // (infer::DecoderPlan — packed weights, arena buffers, fused SIMD
-// kernels; see docs/inference.md) against the reference nn/linalg
-// forward pass, across batch sizes. Both paths run through
-// ReleasePackage::DecodeLatent with the planned-decode switch flipped,
-// so each side pays its true end-to-end cost (the reference path's
-// per-layer Matrix allocations included) — exactly what `p3gm serve`
-// pays per coalesced batch.
+// kernels; see docs/inference.md), driven through
+// ReleasePackage::DecodeLatentInto exactly as `p3gm serve` drives it per
+// coalesced batch, against the reference forward pass: an
+// nn::Sequential carrying the same weights, which pays its true cost
+// (per-layer Matrix allocations included). Both sweep the same batch
+// sizes.
 //
-// The two runtimes are contractually bit-identical; this bench asserts
-// that on every batch size before timing anything, so a kernel
-// regression can never hide behind a throughput win.
+// The two are contractually bit-identical; this bench asserts that on
+// every batch size before timing anything, so a kernel regression can
+// never hide behind a throughput win.
 //
 // Emits BENCH_decode.json for the tools/bench_compare regression gate.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -21,8 +22,10 @@
 #include "bench_common.h"
 #include "core/release.h"
 #include "infer/kernels.h"
-#include "infer/plan.h"
 #include "linalg/matrix.h"
+#include "nn/activations.h"
+#include "nn/linear.h"
+#include "nn/sequential.h"
 #include "stats/gmm.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -31,12 +34,18 @@ namespace p3gm {
 namespace bench {
 namespace {
 
+constexpr std::size_t kLatent = 64, kHidden = 512, kOutputs = 786;
+
 // An MNIST-scale decoder: latent 64 -> hidden 512 -> 786 outputs (784
-// pixels + a 2-class one-hot block), Bernoulli head. Weights are fixed
-// pseudo-random so the run is reproducible without training.
-core::ReleasePackage MakeDecodePackage() {
-  const std::size_t dl = 64, h = 512, d = 786;
-  linalg::Matrix w1(dl, h), b1(1, h), w2(h, d), b2(1, d);
+// pixels + a 2-class one-hot block), Gaussian (clamp01) head. Weights
+// are fixed pseudo-random so the run is reproducible without training.
+struct DecoderWeights {
+  linalg::Matrix w1{kLatent, kHidden}, b1{1, kHidden};
+  linalg::Matrix w2{kHidden, kOutputs}, b2{1, kOutputs};
+};
+
+DecoderWeights MakeWeights() {
+  DecoderWeights w;
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   auto next = [&state]() {
     state ^= state << 13;
@@ -44,12 +53,16 @@ core::ReleasePackage MakeDecodePackage() {
     state ^= state << 17;
     return static_cast<double>(state % 2000) / 1000.0 - 1.0;
   };
-  for (std::size_t i = 0; i < w1.size(); ++i) w1.data()[i] = 0.1 * next();
-  for (std::size_t i = 0; i < b1.size(); ++i) b1.data()[i] = 0.05 * next();
-  for (std::size_t i = 0; i < w2.size(); ++i) w2.data()[i] = 0.1 * next();
-  for (std::size_t i = 0; i < b2.size(); ++i) b2.data()[i] = 0.05 * next();
-  linalg::Matrix means(2, dl), variances(2, dl, 0.8);
-  for (std::size_t j = 0; j < dl; ++j) {
+  for (std::size_t i = 0; i < w.w1.size(); ++i) w.w1.data()[i] = 0.1 * next();
+  for (std::size_t i = 0; i < w.b1.size(); ++i) w.b1.data()[i] = 0.05 * next();
+  for (std::size_t i = 0; i < w.w2.size(); ++i) w.w2.data()[i] = 0.1 * next();
+  for (std::size_t i = 0; i < w.b2.size(); ++i) w.b2.data()[i] = 0.05 * next();
+  return w;
+}
+
+core::ReleasePackage MakeDecodePackage(const DecoderWeights& w) {
+  linalg::Matrix means(2, kLatent), variances(2, kLatent, 0.8);
+  for (std::size_t j = 0; j < kLatent; ++j) {
     means(0, j) = -0.8;
     means(1, j) = 0.8;
   }
@@ -57,19 +70,40 @@ core::ReleasePackage MakeDecodePackage() {
   P3GM_CHECK(prior.ok());
   auto pkg = core::ReleasePackage::FromParts(
       "bench_decode", /*num_classes=*/2, core::DecoderType::kGaussian,
-      std::move(*prior), std::move(w1), std::move(b1), std::move(w2),
-      std::move(b2));
+      std::move(*prior), w.w1, w.b1, w.w2, w.b2);
   P3GM_CHECK(pkg.ok());
   return std::move(*pkg);
 }
 
-// Decodes through DecodeLatentInto — the serve batcher's call — so each
-// runtime is measured with the same reusable-buffer contract the
-// production path has. The reference path still allocates its
-// intermediate matrices internally; that is its real per-batch cost.
-void DecodeOnce(const core::ReleasePackage& pkg, const linalg::Matrix& z,
-                bool planned, linalg::Matrix* out) {
-  infer::SetPlannedDecodeEnabled(planned);
+// The reference forward pass: Linear -> Relu -> Linear with the same
+// weights patched in (Linear's own init is overwritten). clamp01 has no
+// nn layer, so the head is applied by hand.
+void BuildReference(const DecoderWeights& w, nn::Sequential* seq) {
+  util::Rng init_rng(7);
+  nn::Linear* l1 =
+      seq->Emplace<nn::Linear>("l1", kLatent, kHidden, &init_rng);
+  l1->weight().value = w.w1;
+  l1->bias().value = w.b1;
+  seq->Emplace<nn::Relu>();
+  nn::Linear* l2 =
+      seq->Emplace<nn::Linear>("l2", kHidden, kOutputs, &init_rng);
+  l2->weight().value = w.w2;
+  l2->bias().value = w.b2;
+}
+
+void ReferenceDecode(nn::Sequential* seq, const linalg::Matrix& z,
+                     linalg::Matrix* out) {
+  *out = seq->Forward(z, /*train=*/false);
+  double* d = out->data();
+  for (std::size_t i = 0; i < out->size(); ++i) {
+    d[i] = std::clamp(d[i], 0.0, 1.0);
+  }
+}
+
+// Decodes through DecodeLatentInto — the serve batcher's call — with the
+// same reusable-buffer contract the production path has.
+void PlannedDecode(const core::ReleasePackage& pkg, const linalg::Matrix& z,
+                   linalg::Matrix* out) {
   const util::Status status = pkg.DecodeLatentInto(z, out);
   P3GM_CHECK_MSG(status.ok(), status.ToString().c_str());
 }
@@ -93,7 +127,10 @@ int main() {
   // rep-count asymmetry.
   const std::size_t kRowsPerRep = bench::SmokeMode() ? 256 : 2048;
 
-  const core::ReleasePackage pkg = bench::MakeDecodePackage();
+  const bench::DecoderWeights weights = bench::MakeWeights();
+  const core::ReleasePackage pkg = bench::MakeDecodePackage(weights);
+  nn::Sequential reference("reference");
+  bench::BuildReference(weights, &reference);
   util::Rng z_rng(20260808);
   linalg::Matrix z_full = pkg.SampleLatent(kBatches.back(), &z_rng);
 
@@ -110,8 +147,8 @@ int main() {
   // reference bytes on every batch size it is about to be timed on.
   for (std::size_t i = 0; i < kBatches.size(); ++i) {
     linalg::Matrix a, b;
-    bench::DecodeOnce(pkg, z_by_batch[i], true, &a);
-    bench::DecodeOnce(pkg, z_by_batch[i], false, &b);
+    bench::PlannedDecode(pkg, z_by_batch[i], &a);
+    bench::ReferenceDecode(&reference, z_by_batch[i], &b);
     P3GM_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols() &&
                        std::memcmp(a.data(), b.data(),
                                    a.size() * sizeof(double)) == 0,
@@ -135,18 +172,18 @@ int main() {
     benches.push_back({"decode/planned_b" + std::to_string(batch),
                        [&pkg, z, iters, planned_out] {
                          for (std::size_t it = 0; it < iters; ++it) {
-                           bench::DecodeOnce(pkg, *z, true, planned_out);
+                           bench::PlannedDecode(pkg, *z, planned_out);
                          }
                        }});
     benches.push_back({"decode/reference_b" + std::to_string(batch),
-                       [&pkg, z, iters, reference_out] {
+                       [&reference, z, iters, reference_out] {
                          for (std::size_t it = 0; it < iters; ++it) {
-                           bench::DecodeOnce(pkg, *z, false, reference_out);
+                           bench::ReferenceDecode(&reference, *z,
+                                                  reference_out);
                          }
                        }});
   }
   run.suite().RunInterleaved(benches);
-  infer::SetPlannedDecodeEnabled(true);
 
   // Samples/sec from the median rep of each configuration.
   auto rows_per_second = [&](const std::string& name,

@@ -1,13 +1,10 @@
 #include "core/release.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "audit/fault_injection.h"
 #include "data/transforms.h"
 #include "infer/plan.h"
-#include "linalg/ops.h"
-#include "nn/activations.h"
 #include "util/check.h"
 #include "util/serialize.h"
 
@@ -24,15 +21,9 @@ constexpr std::uint32_t kMagic = 0x50334752;  // "P3GR".
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kVersionFingerprint = 2;
 
-util::Status CheckWeights(const std::vector<linalg::Matrix>& w) {
+util::Status CheckWeightCount(const std::vector<linalg::Matrix>& w) {
   if (w.size() != 4) {
     return util::Status::Internal("decoder export: expected 4 tensors");
-  }
-  // {W1 (dl x h), b1 (1 x h), W2 (h x d), b2 (1 x d)}.
-  if (w[1].rows() != 1 || w[3].rows() != 1 ||
-      w[0].cols() != w[1].cols() || w[0].cols() != w[2].rows() ||
-      w[2].cols() != w[3].cols()) {
-    return util::Status::Internal("decoder export: inconsistent shapes");
   }
   return util::Status::OK();
 }
@@ -43,7 +34,7 @@ util::Result<ReleasePackage> ReleasePackage::FromPgm(Pgm* model,
                                                      std::size_t num_classes,
                                                      std::string name) {
   std::vector<linalg::Matrix> w = model->ExportDecoderWeights();
-  P3GM_RETURN_NOT_OK(CheckWeights(w));
+  P3GM_RETURN_NOT_OK(CheckWeightCount(w));
   ReleasePackage pkg;
   pkg.name_ = std::move(name);
   pkg.num_classes_ = num_classes;
@@ -53,8 +44,7 @@ util::Result<ReleasePackage> ReleasePackage::FromPgm(Pgm* model,
   pkg.b1_ = std::move(w[1]);
   pkg.w2_ = std::move(w[2]);
   pkg.b2_ = std::move(w[3]);
-  P3GM_RETURN_NOT_OK(pkg.Validate());
-  pkg.CompilePlan();
+  P3GM_RETURN_NOT_OK(pkg.Finalize());
   return pkg;
 }
 
@@ -62,7 +52,7 @@ util::Result<ReleasePackage> ReleasePackage::FromVae(Vae* model,
                                                      std::size_t num_classes,
                                                      std::string name) {
   std::vector<linalg::Matrix> w = model->ExportDecoderWeights();
-  P3GM_RETURN_NOT_OK(CheckWeights(w));
+  P3GM_RETURN_NOT_OK(CheckWeightCount(w));
   ReleasePackage pkg;
   pkg.name_ = std::move(name);
   pkg.num_classes_ = num_classes;
@@ -76,8 +66,7 @@ util::Result<ReleasePackage> ReleasePackage::FromVae(Vae* model,
   pkg.b1_ = std::move(w[1]);
   pkg.w2_ = std::move(w[2]);
   pkg.b2_ = std::move(w[3]);
-  P3GM_RETURN_NOT_OK(pkg.Validate());
-  pkg.CompilePlan();
+  P3GM_RETURN_NOT_OK(pkg.Finalize());
   return pkg;
 }
 
@@ -85,7 +74,6 @@ util::Result<ReleasePackage> ReleasePackage::FromParts(
     std::string name, std::size_t num_classes, DecoderType decoder,
     stats::GaussianMixture prior, linalg::Matrix w1, linalg::Matrix b1,
     linalg::Matrix w2, linalg::Matrix b2) {
-  P3GM_RETURN_NOT_OK(CheckWeights({w1, b1, w2, b2}));
   ReleasePackage pkg;
   pkg.name_ = std::move(name);
   pkg.num_classes_ = num_classes;
@@ -95,27 +83,34 @@ util::Result<ReleasePackage> ReleasePackage::FromParts(
   pkg.b1_ = std::move(b1);
   pkg.w2_ = std::move(w2);
   pkg.b2_ = std::move(b2);
-  P3GM_RETURN_NOT_OK(pkg.Validate());
-  pkg.CompilePlan();
+  P3GM_RETURN_NOT_OK(pkg.Finalize());
   return pkg;
 }
 
-void ReleasePackage::CompilePlan() {
+util::Status ReleasePackage::Finalize() {
+  P3GM_RETURN_NOT_OK(Validate());
   // hidden = relu(z W1 + b1); output = head(h W2 + b2), where the head
-  // matches DecodeLatent's reference epilogue for this decoder type.
+  // is the decoder type's observation model.
   const infer::Activation head = decoder_type_ == DecoderType::kBernoulli
                                      ? infer::Activation::kSigmoid
                                      : infer::Activation::kClamp01;
-  util::Result<infer::DecoderPlan> plan = infer::DecoderPlan::Compile(
-      {{&w1_, &b1_, infer::Activation::kRelu}, {&w2_, &b2_, head}});
-  P3GM_CHECK_MSG(plan.ok(), "ReleasePackage: decoder plan compilation failed");
-  plan_ = std::make_shared<const infer::DecoderPlan>(
-      std::move(plan).ValueOrDie());
+  P3GM_ASSIGN_OR_RETURN(
+      infer::DecoderPlan plan,
+      infer::DecoderPlan::Compile(
+          {{&w1_, &b1_, infer::Activation::kRelu}, {&w2_, &b2_, head}}));
+  plan_ = std::make_shared<const infer::DecoderPlan>(std::move(plan));
+  return util::Status::OK();
 }
 
 util::Status ReleasePackage::Validate() const {
   if (w1_.empty() || w2_.empty()) {
     return util::Status::FailedPrecondition("ReleasePackage: empty decoder");
+  }
+  // {W1 (dl x h), b1 (1 x h), W2 (h x d), b2 (1 x d)}.
+  if (b1_.rows() != 1 || b2_.rows() != 1 || w1_.cols() != b1_.cols() ||
+      w1_.cols() != w2_.rows() || w2_.cols() != b2_.cols()) {
+    return util::Status::InvalidArgument(
+        "ReleasePackage: inconsistent decoder shapes");
   }
   if (prior_.dim() != w1_.rows()) {
     return util::Status::InvalidArgument(
@@ -208,8 +203,7 @@ util::Result<ReleasePackage> ReleasePackage::Load(const std::string& path) {
     }
     pkg.SetFingerprint(std::move(fp));
   }
-  P3GM_RETURN_NOT_OK(pkg.Validate());
-  pkg.CompilePlan();
+  P3GM_RETURN_NOT_OK(pkg.Finalize());
   return pkg;
 }
 
@@ -233,41 +227,15 @@ util::Status ReleasePackage::DecodeLatentInto(const linalg::Matrix& z,
     return util::Status::InvalidArgument(
         "ReleasePackage: latent dimension mismatch");
   }
-  // Planned path: the pre-compiled infer::DecoderPlan runs the same
-  // forward pass through packed weights, arena buffers, and fused
-  // kernels. Bit-identical to the reference sequence below by the
-  // accumulation-order contract (docs/inference.md); the reference is
-  // kept as the escape hatch (`p3gm serve --no-planned-decode`,
-  // P3GM_NO_PLANNED_DECODE=1) and as the oracle the equivalence suite
-  // pins the planned runtime against.
-  if (plan_ != nullptr && infer::PlannedDecodeEnabled() && z.rows() > 0) {
-    P3GM_RETURN_NOT_OK(plan_->Execute(z, out));
-  } else {
-    linalg::Matrix h = linalg::Matmul(z, w1_);
-    linalg::AddRowVector(b1_.Row(0), &h);
-    double* hd = h.data();
-    for (std::size_t i = 0; i < h.size(); ++i) {
-      if (hd[i] < 0.0) hd[i] = 0.0;  // ReLU.
-    }
-    linalg::Matrix logits = linalg::Matmul(h, w2_);
-    linalg::AddRowVector(b2_.Row(0), &logits);
-    double* ld = logits.data();
-    if (decoder_type_ == DecoderType::kBernoulli) {
-      for (std::size_t i = 0; i < logits.size(); ++i) {
-        ld[i] = nn::SigmoidScalar(ld[i]);
-      }
-    } else {
-      for (std::size_t i = 0; i < logits.size(); ++i) {
-        ld[i] = std::clamp(ld[i], 0.0, 1.0);
-      }
-    }
-    *out = std::move(logits);
-  }
+  // A validated package always carries its plan: packed weights, arena
+  // buffers and fused kernels, bit-identical to the nn::Sequential
+  // forward pass by the accumulation-order contract (docs/inference.md).
+  // Zero rows yield an empty rows x output_dim matrix.
+  P3GM_RETURN_NOT_OK(plan_->Execute(z, out));
   // Audit negative control: a constant post-activation shift of one
   // output column (quality-drift detection must catch exactly this).
-  // Applied after either runtime so the perturbation is identical under
-  // planned and reference decode; compiles to nothing when fault
-  // injection is off, and is branch-predicted away when idle.
+  // Compiles to nothing when fault injection is off, and is
+  // branch-predicted away when idle.
   const double bias_shift = audit::DecoderBiasShift();
   if (bias_shift != 0.0) {
     const std::size_t col = audit::DecoderBiasFeature();

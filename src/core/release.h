@@ -78,11 +78,11 @@ class ReleasePackage {
   util::Result<linalg::Matrix> DecodeLatent(const linalg::Matrix& z) const;
 
   /// DecodeLatent variant that writes into a caller-owned buffer,
-  /// reallocating only on shape mismatch. Bit-identical to DecodeLatent
-  /// under either decode runtime; it exists so a steady-state serving
-  /// loop can reuse one output buffer across batches instead of paying
-  /// a multi-megabyte allocation plus zero-fill (and, at those sizes,
-  /// an mmap/page-fault round trip) on every decode.
+  /// reallocating only on shape mismatch. Bit-identical to DecodeLatent;
+  /// it exists so a steady-state serving loop can reuse one output
+  /// buffer across batches instead of paying a multi-megabyte
+  /// allocation plus zero-fill (and, at those sizes, an mmap/page-fault
+  /// round trip) on every decode.
   util::Status DecodeLatentInto(const linalg::Matrix& z,
                                 linalg::Matrix* out) const;
 
@@ -98,12 +98,6 @@ class ReleasePackage {
   std::size_t feature_dim() const { return output_dim() - num_classes_; }
   std::size_t num_classes() const { return num_classes_; }
   const stats::GaussianMixture& prior() const { return prior_; }
-
-  /// The compiled forward-execution plan (src/infer) DecodeLatent runs
-  /// through when infer::PlannedDecodeEnabled(). Compiled eagerly by
-  /// every factory; null only for a default-constructed package. The
-  /// plan is immutable and shared by copies of the package.
-  const infer::DecoderPlan* plan() const { return plan_.get(); }
 
   /// Reference quality fingerprint of this model's output distribution
   /// (obs/quality/fingerprint.h), embedded at release time. Null when
@@ -127,12 +121,15 @@ class ReleasePackage {
   void ClearFingerprint() { fingerprint_.reset(); }
 
  private:
+  /// Shapes and prior/decoder agreement. A default-constructed package
+  /// fails here, so code past Validate() may rely on plan_.
   util::Status Validate() const;
 
-  /// Packs the decoder weights into a DecoderPlan. Called by the
-  /// factories after Validate(); fatal on failure (validated weights
-  /// always compile).
-  void CompilePlan();
+  /// The shared tail of every factory and of Load: Validate(), then
+  /// compile the decoder into the DecoderPlan every decode runs
+  /// through. Untrusted files reach this through Load, so failures are
+  /// returned, never fatal.
+  util::Status Finalize();
 
   std::string name_;
   std::size_t num_classes_ = 0;
@@ -140,6 +137,7 @@ class ReleasePackage {
   stats::GaussianMixture prior_;
   // Decoder affine weights: hidden = relu(z W1 + b1); logits = h W2 + b2.
   linalg::Matrix w1_, b1_, w2_, b2_;
+  // Compiled by Finalize; immutable and shared by copies of the package.
   std::shared_ptr<const infer::DecoderPlan> plan_;
   std::shared_ptr<const obs::quality::Fingerprint> fingerprint_;
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "obs/registry.h"
@@ -32,13 +30,6 @@ constexpr std::size_t kRowGrain = 8;
 // to end.
 constexpr std::size_t kRowBlock = 128;
 
-std::atomic<int> g_planned_enabled{-1};  // -1: read env on first use.
-
-bool EnvDisablesPlannedDecode() {
-  const char* v = std::getenv("P3GM_NO_PLANNED_DECODE");
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
 // High-water mark across every thread's arena, mirrored to the
 // infer.arena.bytes gauge.
 std::atomic<std::size_t> g_arena_high_water{0};
@@ -58,19 +49,6 @@ void NoteArenaBytes(std::size_t bytes) {
 }
 
 }  // namespace
-
-bool PlannedDecodeEnabled() {
-  int v = g_planned_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = EnvDisablesPlannedDecode() ? 0 : 1;
-    g_planned_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-void SetPlannedDecodeEnabled(bool enabled) {
-  g_planned_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 util::Result<DecoderPlan> DecoderPlan::Compile(
     const std::vector<LayerSpec>& specs) {

@@ -55,7 +55,7 @@ class DecoderPlan {
 
   /// Runs the forward pass for `input` (rows x input_dim) into `*out`,
   /// which is resized to rows x output_dim. Uses the calling thread's
-  /// arena. rows == 0 is a valid no-op.
+  /// arena. rows == 0 is valid and leaves an empty 0 x output_dim.
   util::Status Execute(const linalg::Matrix& input, linalg::Matrix* out) const;
 
   /// Raw-buffer forward pass: `in` is rows x input_dim with row stride
@@ -78,15 +78,6 @@ class DecoderPlan {
   // (l < num_layers-1) writes slot l % 2, layer l+1 reads it back.
   std::size_t slot_width_[2] = {0, 0};
 };
-
-/// Process-wide switch consulted by core::ReleasePackage::DecodeLatent:
-/// when false, packages fall back to the reference nn/linalg path even
-/// if they carry a compiled plan. Initialised from the environment
-/// (P3GM_NO_PLANNED_DECODE=1 disables) on first read; SetPlannedDecodeEnabled
-/// overrides afterwards (used by `p3gm serve --no-planned-decode` and
-/// the equivalence tests).
-bool PlannedDecodeEnabled();
-void SetPlannedDecodeEnabled(bool enabled);
 
 }  // namespace infer
 }  // namespace p3gm

@@ -21,7 +21,9 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows)
 
 util::Result<Matrix> Matrix::FromFlat(std::size_t rows, std::size_t cols,
                                       std::vector<double> flat) {
-  if (flat.size() != rows * cols) {
+  // rows > size / cols first: rows * cols may wrap.
+  if ((cols != 0 && rows > flat.size() / cols) ||
+      flat.size() != rows * cols) {
     return util::Status::InvalidArgument(
         "FromFlat: buffer size does not match rows*cols");
   }

@@ -1,122 +1,53 @@
 #include "serve/poller.h"
 
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 
-#include <poll.h>
-#include <unistd.h>
-
-#if defined(__linux__)
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 namespace p3gm {
 namespace serve {
 
-namespace {
-
-bool ForcePoll() {
-  const char* env = std::getenv("P3GM_SERVE_FORCE_POLL");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
-
-}  // namespace
-
-Poller::Poller() {
-#if defined(__linux__)
-  if (!ForcePoll()) {
-    epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-  }
-#endif
-  ok_ = true;  // The poll backend needs no setup and cannot fail here.
-}
+Poller::Poller() : epoll_fd_(epoll_create1(EPOLL_CLOEXEC)) {}
 
 Poller::~Poller() {
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
+void Poller::Control(int op, int fd, bool want_read, bool want_write) {
+  struct epoll_event ev = {};
+  ev.data.fd = fd;
+  if (want_read) ev.events |= EPOLLIN;
+  if (want_write) ev.events |= EPOLLOUT;
+  epoll_ctl(epoll_fd_, op, fd, &ev);
+}
+
 void Poller::Add(int fd, bool want_read, bool want_write) {
-#if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof ev);
-    ev.data.fd = fd;
-    if (want_read) ev.events |= EPOLLIN;
-    if (want_write) ev.events |= EPOLLOUT;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    return;
-  }
-#endif
-  short mask = 0;
-  if (want_read) mask |= POLLIN;
-  if (want_write) mask |= POLLOUT;
-  poll_interest_[fd] = mask;
+  Control(EPOLL_CTL_ADD, fd, want_read, want_write);
 }
 
 void Poller::Update(int fd, bool want_read, bool want_write) {
-#if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof ev);
-    ev.data.fd = fd;
-    if (want_read) ev.events |= EPOLLIN;
-    if (want_write) ev.events |= EPOLLOUT;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-    return;
-  }
-#endif
-  short mask = 0;
-  if (want_read) mask |= POLLIN;
-  if (want_write) mask |= POLLOUT;
-  poll_interest_[fd] = mask;
+  Control(EPOLL_CTL_MOD, fd, want_read, want_write);
 }
 
 void Poller::Remove(int fd) {
-#if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    return;
-  }
-#endif
-  poll_interest_.erase(fd);
+  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 int Poller::Wait(std::vector<Event>* out, int timeout_ms) {
   out->clear();
-#if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    struct epoll_event events[64];
-    const int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
-    if (n < 0) return errno == EINTR ? 0 : -1;
-    for (int i = 0; i < n; ++i) {
-      Event ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & EPOLLIN) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out->push_back(ev);
-    }
-    return n;
-  }
-#endif
-  std::vector<struct pollfd> fds;
-  fds.reserve(poll_interest_.size());
-  for (const auto& [fd, mask] : poll_interest_) {
-    fds.push_back({fd, mask, 0});
-  }
-  const int n = ::poll(fds.data(), fds.size(), timeout_ms);
+  struct epoll_event events[64];
+  const int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
   if (n < 0) return errno == EINTR ? 0 : -1;
-  for (const struct pollfd& p : fds) {
-    if (p.revents == 0) continue;
+  for (int i = 0; i < n; ++i) {
     Event ev;
-    ev.fd = p.fd;
-    ev.readable = (p.revents & POLLIN) != 0;
-    ev.writable = (p.revents & POLLOUT) != 0;
-    ev.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    ev.fd = events[i].data.fd;
+    ev.readable = (events[i].events & EPOLLIN) != 0;
+    ev.writable = (events[i].events & EPOLLOUT) != 0;
+    ev.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
     out->push_back(ev);
   }
-  return static_cast<int>(out->size());
+  return n;
 }
 
 }  // namespace serve

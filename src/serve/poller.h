@@ -1,18 +1,13 @@
 #ifndef P3GM_SERVE_POLLER_H_
 #define P3GM_SERVE_POLLER_H_
 
-#include <cstddef>
-#include <map>
 #include <vector>
 
 namespace p3gm {
 namespace serve {
 
-/// Readiness-notification backend for the serve event loop: epoll on
-/// Linux, with a portable poll(2) implementation everywhere else. The
-/// environment variable P3GM_SERVE_FORCE_POLL=1 selects the poll
-/// backend at construction even where epoll is available, so both code
-/// paths stay exercised by the same test suite.
+/// Readiness-notification backend for the serve event loop: a thin
+/// level-triggered epoll wrapper. The daemon is Linux-only.
 class Poller {
  public:
   struct Event {
@@ -28,8 +23,9 @@ class Poller {
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
-  bool ok() const { return ok_; }
-  bool using_epoll() const { return epoll_fd_ >= 0; }
+  /// False when epoll_create1 failed (errno says why); nothing else
+  /// works then.
+  bool ok() const { return epoll_fd_ >= 0; }
 
   void Add(int fd, bool want_read, bool want_write);
   void Update(int fd, bool want_read, bool want_write);
@@ -41,10 +37,9 @@ class Poller {
   int Wait(std::vector<Event>* out, int timeout_ms);
 
  private:
-  bool ok_ = false;
-  int epoll_fd_ = -1;  // -1 = poll backend.
-  /// Poll backend bookkeeping: fd -> requested events mask.
-  std::map<int, short> poll_interest_;
+  void Control(int op, int fd, bool want_read, bool want_write);
+
+  int epoll_fd_ = -1;
 };
 
 }  // namespace serve

@@ -7,8 +7,6 @@
 #include <fstream>
 #include <utility>
 
-#include "infer/plan.h"
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -16,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "data/dataset.h"
 #include "obs/build_info.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -122,11 +121,16 @@ Server::Server(ServerOptions options)
   batcher_ = std::make_unique<Batcher>(
       batch_options, &cache_,
       [this](std::uint64_t ticket, util::Result<data::Dataset> result) {
-        {
-          std::lock_guard<std::mutex> lock(completions_mutex_);
-          completions_.push_back(Completion{ticket, std::move(result)});
-        }
-        Wake();
+        Complete(ticket, [result = std::move(result)](const Connection& conn) {
+          if (!result.ok()) {
+            return JsonResponse(StatusToHttp(result.status()),
+                                ErrorJson(result.status().message()));
+          }
+          return JsonResponse(200, SampleResponseJson(conn.model,
+                                                      conn.generation,
+                                                      /*cached=*/false,
+                                                      *result));
+        });
       });
 }
 
@@ -140,11 +144,6 @@ Server::~Server() {
 util::Status Server::Init(const std::vector<std::string>& package_paths) {
   if (initialized_) {
     return util::Status::FailedPrecondition("Server: Init called twice");
-  }
-  // Escape hatch only: never force-enable here, so an operator's
-  // P3GM_NO_PLANNED_DECODE=1 environment survives the default options.
-  if (!options_.planned_decode) {
-    infer::SetPlannedDecodeEnabled(false);
   }
   // An empty package set is a valid cold start (mid-rollout, models
   // arrive via reload): /healthz reports zero models and the scrape
@@ -207,15 +206,18 @@ util::Status Server::Start() {
   }
   stop_requested_.store(false, std::memory_order_release);
   poller_ = std::make_unique<Poller>();
+  if (!poller_->ok()) {
+    return util::Status::IoError(
+        std::string("Server: epoll_create1() failed: ") +
+        std::strerror(errno));
+  }
   poller_->Add(listen_fd_, /*want_read=*/true, /*want_write=*/false);
   poller_->Add(wake_read_fd_, /*want_read=*/true, /*want_write=*/false);
   batcher_->Start();
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { LoopThread(); });
   P3GM_LOG(Info) << "p3gm serve: listening on " << options_.host << ":"
-                 << bound_port_ << " ("
-                 << (poller_->using_epoll() ? "epoll" : "poll")
-                 << " backend)";
+                 << bound_port_;
   // Self-describing startup: the build-info gauge makes every scrape
   // attributable to a binary, and the config line puts the effective
   // options in the incident log up front.
@@ -227,8 +229,7 @@ util::Status Server::Start() {
                  << " max_batch_rows=" << options_.max_batch_rows
                  << " queue_limit=" << options_.queue_limit
                  << " cache_entries=" << options_.cache_entries
-                 << " max_n=" << options_.max_n << " planned_decode="
-                 << (options_.planned_decode ? "on" : "off") << " quality="
+                 << " max_n=" << options_.max_n << " quality="
                  << (quality_.enabled() ? "on" : "off")
                  << " quality_threshold=" << options_.quality.threshold
                  << " models=" << registry_.size();
@@ -320,8 +321,7 @@ void Server::LoopThread() {
     if (stopping) {
       bool pending_out = false;
       for (const auto& [fd, conn] : connections_) {
-        if (conn->out_offset < conn->out.size() || conn->awaiting_sample ||
-            conn->awaiting_profile) {
+        if (conn->out_offset < conn->out.size() || conn->parked) {
           pending_out = true;
           break;
         }
@@ -359,7 +359,6 @@ void Server::LoopThread() {
       (void)ignored;
     }
     DrainCompletions();
-    DrainProfileCompletions();
     active->Set(static_cast<double>(connections_.size()));
   }
 
@@ -434,17 +433,16 @@ void Server::PumpRequests(Connection* conn) {
     Respond(conn, std::move(response));
     return;
   }
-  // Serve pipelined requests until the parser runs dry or a sample
-  // request parks the connection. ProcessRequest can close (and free)
-  // the connection when a close-marked response flushes inline, so the
+  // Serve pipelined requests until the parser runs dry or a request
+  // parks the connection. ProcessRequest can close (and free) the
+  // connection when a close-marked response flushes inline, so the
   // liveness check must key on the fd captured before the call.
   const int fd = conn->fd;
-  while (!conn->awaiting_sample && !conn->awaiting_profile &&
-         conn->parser.done() && !conn->close_after_write) {
+  while (!conn->parked && conn->parser.done() && !conn->close_after_write) {
     conn->request_start_ns = obs::NowNs();
     ProcessRequest(conn);
     if (connections_.count(fd) == 0) return;  // Closed.
-    if (conn->awaiting_sample || conn->awaiting_profile) break;
+    if (conn->parked) break;
     conn->parser.ResetForNext();
     if (conn->parser.failed()) {
       PumpRequests(conn);  // Report the pipelined parse error.
@@ -453,6 +451,20 @@ void Server::PumpRequests(Connection* conn) {
   }
   UpdateInterest(conn);
 }
+
+// The routing table. A (method, path) pair not listed here is a 404
+// when some row has the method, else a 405. The hot endpoint comes
+// first: ProcessRequest scans in order.
+const Server::Endpoint Server::kEndpoints[] = {
+    {"POST", "/v1/sample", &Server::HandleSample},
+    {"GET", "/healthz", &Server::HandleHealthz},
+    {"GET", "/v1/models", &Server::HandleModels},
+    {"GET", "/v1/metrics", &Server::HandleMetrics},
+    {"GET", "/v1/quality", &Server::HandleQuality},
+    {"GET", "/v1/profile", &Server::HandleProfile},
+    {"GET", "/v1/profile/heap", &Server::HandleProfileHeap},
+    {"POST", "/v1/reload", &Server::HandleReload},
+};
 
 void Server::ProcessRequest(Connection* conn) {
   const HttpRequest& req = conn->parser.request();
@@ -478,66 +490,33 @@ void Server::ProcessRequest(Connection* conn) {
 
   conn->close_after_write = !req.KeepAlive();
 
-  if (req.method == "GET") {
-    if (req.path == "/healthz") {
-      conn->endpoint = "/healthz";
-      Respond(conn, JsonResponse(
-                        200, "{\"status\": \"ok\", \"models\": " +
-                                 std::to_string(registry_.size()) +
-                                 ", \"generation\": " +
-                                 std::to_string(registry_.generation()) +
-                                 "}"));
+  const Endpoint* route = nullptr;
+  bool method_known = false;
+  for (const Endpoint& e : kEndpoints) {
+    if (req.method != e.method) continue;
+    method_known = true;
+    if (req.path == e.path) {
+      route = &e;
+      break;
+    }
+  }
+  if (route == nullptr) {
+    if (method_known) {
+      Respond(conn, JsonResponse(404, ErrorJson("no such endpoint: " +
+                                                req.target)));
       return;
     }
-    if (req.path == "/v1/models") {
-      conn->endpoint = "/v1/models";
-      Respond(conn, JsonResponse(200, ModelsJson(registry_)));
-      return;
-    }
-    if (req.path == "/v1/metrics") {
-      conn->endpoint = "/v1/metrics";
-      Respond(conn, MetricsResponse(req));
-      return;
-    }
-    if (req.path == "/v1/quality") {
-      conn->endpoint = "/v1/quality";
-      Respond(conn, QualityResponse());
-      return;
-    }
-    if (req.path == "/v1/profile") {
-      conn->endpoint = "/v1/profile";
-      HandleProfile(conn, req);
-      return;
-    }
-    if (req.path == "/v1/profile/heap") {
-      conn->endpoint = "/v1/profile/heap";
-      Respond(conn, ProfileHeapResponse());
-      return;
-    }
-    Respond(conn, JsonResponse(404, ErrorJson("no such endpoint: " +
-                                              req.target)));
+    HttpResponse response;
+    response.status = 405;
+    response.extra_headers.emplace_back("Allow", "GET, POST");
+    response.body = ErrorJson("method not allowed: " + req.method);
+    Respond(conn, std::move(response));
     return;
   }
-  if (req.method == "POST") {
-    if (req.path == "/v1/sample") {
-      conn->endpoint = "/v1/sample";
-      HandleSample(conn, req);
-      return;
-    }
-    if (req.path == "/v1/reload") {
-      conn->endpoint = "/v1/reload";
-      Respond(conn, ReloadNow());
-      return;
-    }
-    Respond(conn, JsonResponse(404, ErrorJson("no such endpoint: " +
-                                              req.target)));
-    return;
+  conn->endpoint = route->path;
+  if (Reply reply = (this->*route->handler)(conn, req)) {
+    Respond(conn, std::move(*reply));
   }
-  HttpResponse response;
-  response.status = 405;
-  response.extra_headers.emplace_back("Allow", "GET, POST");
-  response.body = ErrorJson("method not allowed: " + req.method);
-  Respond(conn, std::move(response));
 }
 
 namespace {
@@ -573,14 +552,25 @@ std::vector<QualityModelReport> Server::ScrapeQuality() {
   return reports;
 }
 
-HttpResponse Server::QualityResponse() {
+Server::Reply Server::HandleHealthz(Connection*, const HttpRequest&) {
+  return JsonResponse(200, "{\"status\": \"ok\", \"models\": " +
+                               std::to_string(registry_.size()) +
+                               ", \"generation\": " +
+                               std::to_string(registry_.generation()) + "}");
+}
+
+Server::Reply Server::HandleModels(Connection*, const HttpRequest&) {
+  return JsonResponse(200, ModelsJson(registry_));
+}
+
+Server::Reply Server::HandleQuality(Connection*, const HttpRequest&) {
   if (registry_.size() == 0) return NoModelsResponse();
   return JsonResponse(200,
                       QualityReportJson(ScrapeQuality(), quality_.options(),
                                         registry_.generation()));
 }
 
-HttpResponse Server::MetricsResponse(const HttpRequest& req) {
+Server::Reply Server::HandleMetrics(Connection*, const HttpRequest& req) {
   if (registry_.size() == 0) return NoModelsResponse();
   // A metrics scrape also refreshes the quality gauges, so Prometheus
   // sees drift without anyone polling /v1/quality.
@@ -615,24 +605,22 @@ HttpResponse Server::MetricsResponse(const HttpRequest& req) {
   return JsonResponse(200, snapshot.ToJson());
 }
 
-void Server::HandleSample(Connection* conn, const HttpRequest& req) {
+Server::Reply Server::HandleSample(Connection* conn, const HttpRequest& req) {
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter* samples = registry.counter("serve.sample.requests");
   samples->Add();
 
   auto parsed = ParseSampleRequest(req.body, options_.max_n);
   if (!parsed.ok()) {
-    Respond(conn, JsonResponse(StatusToHttp(parsed.status()),
-                               ErrorJson(parsed.status().message())));
-    return;
+    return JsonResponse(StatusToHttp(parsed.status()),
+                        ErrorJson(parsed.status().message()));
   }
   const SampleRequest& sample = *parsed;
   std::shared_ptr<const core::ReleasePackage> package =
       registry_.Find(sample.model);
   if (package == nullptr) {
-    Respond(conn, JsonResponse(404, ErrorJson("unknown model \"" +
-                                              sample.model + "\"")));
-    return;
+    return JsonResponse(404,
+                        ErrorJson("unknown model \"" + sample.model + "\""));
   }
   const std::uint64_t generation = registry_.generation();
 
@@ -646,10 +634,8 @@ void Server::HandleSample(Connection* conn, const HttpRequest& req) {
       static obs::Counter* hits = registry.counter("serve.cache.hits");
       hits->Add();
       conn->cache_hit = true;
-      Respond(conn, JsonResponse(200, SampleResponseJson(
-                                          sample.model, generation,
-                                          /*cached=*/true, rows)));
-      return;
+      return JsonResponse(200, SampleResponseJson(sample.model, generation,
+                                                  /*cached=*/true, rows));
     }
     static obs::Counter* misses = registry.counter("serve.cache.misses");
     misses->Add();
@@ -674,17 +660,50 @@ void Server::HandleSample(Connection* conn, const HttpRequest& req) {
     response.status = 503;
     response.extra_headers.emplace_back("Retry-After", "1");
     response.body = ErrorJson("sample queue full, retry later");
-    Respond(conn, std::move(response));
-    return;
+    return response;
   }
-  conn->awaiting_sample = true;
-  conn->ticket = ticket;
+  Park(conn, ticket);
   conn->model = sample.model;
   conn->generation = generation;
-  ticket_to_fd_[ticket] = conn->fd;
+  return std::nullopt;
 }
 
-void Server::HandleProfile(Connection* conn, const HttpRequest& req) {
+util::Status Server::StartProfile(
+    int hz, std::uint64_t seconds,
+    std::function<void(util::Result<obs::profile::CpuProfile>)> done) {
+  // exchange(true) claims the slot or reports it taken.
+  if (profile_busy_.exchange(true, std::memory_order_acq_rel)) {
+    return util::Status::AlreadyExists(
+        "a profile is already running, retry later");
+  }
+  obs::profile::CpuProfileOptions profile_options;
+  profile_options.hz = hz;
+  const util::Status status =
+      obs::profile::CpuProfiler::Global().Start(profile_options);
+  if (!status.ok()) {
+    profile_busy_.store(false, std::memory_order_release);
+    return status;
+  }
+  if (profile_thread_.joinable()) profile_thread_.join();
+  profile_thread_ = std::thread([this, seconds, done = std::move(done)] {
+    const std::uint64_t deadline_ns =
+        obs::NowNs() + seconds * 1000000000ull;
+    while (obs::NowNs() < deadline_ns &&
+           !stop_requested_.load(std::memory_order_acquire)) {
+      struct timespec ts = {0, 50 * 1000 * 1000};
+      ::nanosleep(&ts, nullptr);
+    }
+    util::Result<obs::profile::CpuProfile> profile =
+        obs::profile::CpuProfiler::Global().Stop();
+    // Free the slot before the hand-off: a client that reads this
+    // profile and asks for the next one must find the slot open.
+    profile_busy_.store(false, std::memory_order_release);
+    done(std::move(profile));
+  });
+  return util::Status::OK();
+}
+
+Server::Reply Server::HandleProfile(Connection* conn, const HttpRequest& req) {
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter* requests = registry.counter("serve.profile.requests");
   requests->Add();
@@ -693,91 +712,66 @@ void Server::HandleProfile(Connection* conn, const HttpRequest& req) {
   std::uint64_t hz = 99;
   if (const std::string* s = req.QueryParam("seconds")) {
     if (!util::ParseUint64(*s, 1, 60, &seconds)) {
-      Respond(conn, JsonResponse(
-                        400, ErrorJson("bad seconds \"" + *s +
-                                       "\" (want integer in [1, 60])")));
-      return;
+      return JsonResponse(400, ErrorJson("bad seconds \"" + *s +
+                                         "\" (want integer in [1, 60])"));
     }
   }
   if (const std::string* s = req.QueryParam("hz")) {
     if (!util::ParseUint64(*s, 1, 1000, &hz)) {
-      Respond(conn, JsonResponse(
-                        400, ErrorJson("bad hz \"" + *s +
-                                       "\" (want integer in [1, 1000])")));
-      return;
+      return JsonResponse(400, ErrorJson("bad hz \"" + *s +
+                                         "\" (want integer in [1, 1000])"));
     }
   }
 
-  // Admission: one profile at a time, shared with --profile-on-slow
-  // bursts. exchange(true) claims the slot or reports it taken.
-  if (profile_busy_.exchange(true, std::memory_order_acq_rel)) {
-    HttpResponse busy;
-    busy.status = 503;
-    busy.extra_headers.emplace_back("Retry-After",
-                                    std::to_string(seconds));
-    busy.body = ErrorJson("a profile is already running, retry later");
-    Respond(conn, std::move(busy));
-    return;
-  }
-  obs::profile::CpuProfileOptions profile_options;
-  profile_options.hz = static_cast<int>(hz);
-  const util::Status status =
-      obs::profile::CpuProfiler::Global().Start(profile_options);
-  if (!status.ok()) {
-    profile_busy_.store(false, std::memory_order_release);
-    const bool contended =
-        status.code() == util::StatusCode::kFailedPrecondition;
-    HttpResponse response;
-    response.status = contended ? 503 : 500;
-    if (contended) response.extra_headers.emplace_back("Retry-After", "1");
-    response.body = ErrorJson(status.message());
-    Respond(conn, std::move(response));
-    return;
-  }
-
-  // Park the connection (sample-request machinery) and collect on a
-  // worker so the event loop keeps serving; the loop thread's own work
-  // still gets sampled — only this endpoint's response assembly happens
-  // after Stop, excluding it from its own profile.
+  // Park the connection and collect on the profile worker so the event
+  // loop keeps serving; the loop thread's own work still gets sampled —
+  // only this endpoint's response assembly happens after Stop,
+  // excluding it from its own profile.
   const std::uint64_t ticket = next_ticket_++;
-  conn->awaiting_profile = true;
-  conn->ticket = ticket;
-  ticket_to_fd_[ticket] = conn->fd;
-  if (profile_thread_.joinable()) profile_thread_.join();
-  profile_thread_ = std::thread([this, ticket, seconds] {
-    const std::uint64_t deadline_ns =
-        obs::NowNs() + seconds * 1000000000ull;
-    while (obs::NowNs() < deadline_ns &&
-           !stop_requested_.load(std::memory_order_acquire)) {
-      struct timespec ts = {0, 50 * 1000 * 1000};
-      ::nanosleep(&ts, nullptr);
-    }
-    auto profile = obs::profile::CpuProfiler::Global().Stop();
-    HttpResponse response;
-    if (!profile.ok()) {
-      response.status = 500;
-      response.body = ErrorJson(profile.status().message());
-    } else {
-      response.content_type = "text/plain; charset=utf-8";
-      response.body = profile->ToFoldedText();
-      response.extra_headers.emplace_back(
-          "X-Profile-Samples", std::to_string(profile->samples));
-      response.extra_headers.emplace_back(
-          "X-Profile-Dropped", std::to_string(profile->dropped));
-      response.extra_headers.emplace_back(
-          "X-Profile-Hz", std::to_string(profile->hz));
-    }
-    {
-      std::lock_guard<std::mutex> lock(profile_completions_mutex_);
-      profile_completions_.push_back(
-          ProfileCompletion{ticket, std::move(response)});
-    }
-    profile_busy_.store(false, std::memory_order_release);
-    Wake();
-  });
+  const util::Status status = StartProfile(
+      static_cast<int>(hz), seconds,
+      [this, ticket](util::Result<obs::profile::CpuProfile> profile) {
+        Complete(ticket, [profile = std::move(profile)](const Connection&) {
+          HttpResponse response;
+          if (!profile.ok()) {
+            response.status = 500;
+            response.body = ErrorJson(profile.status().message());
+            return response;
+          }
+          response.content_type = "text/plain; charset=utf-8";
+          response.body = profile->ToFoldedText();
+          response.extra_headers.emplace_back(
+              "X-Profile-Samples", std::to_string(profile->samples));
+          response.extra_headers.emplace_back(
+              "X-Profile-Dropped", std::to_string(profile->dropped));
+          response.extra_headers.emplace_back(
+              "X-Profile-Hz", std::to_string(profile->hz));
+          return response;
+        });
+      });
+  if (status.ok()) {
+    Park(conn, ticket);
+    return std::nullopt;
+  }
+  // Busy (one profile at a time, shared with --profile-on-slow bursts)
+  // retries after the running profile's length; a profiler held
+  // elsewhere in the process retries after a second.
+  HttpResponse response;
+  response.body = ErrorJson(status.message());
+  if (status.code() == util::StatusCode::kAlreadyExists) {
+    response.status = 503;
+    response.extra_headers.emplace_back("Retry-After",
+                                        std::to_string(seconds));
+  } else if (status.code() == util::StatusCode::kFailedPrecondition) {
+    response.status = 503;
+    response.extra_headers.emplace_back("Retry-After", "1");
+  } else {
+    response.status = 500;
+  }
+  return response;
 }
 
-HttpResponse Server::ProfileHeapResponse() {
+Server::Reply Server::HandleProfileHeap(Connection*, const HttpRequest&) {
   obs::profile::HeapProfiler& heap = obs::profile::HeapProfiler::Global();
   if (!obs::perf::AllocTrackingCompiledIn()) {
     HttpResponse response;
@@ -816,71 +810,52 @@ void Server::MaybeStartSlowProfile() {
       registry.counter("serve.profile.slow_bursts");
   static obs::Counter* skipped =
       registry.counter("serve.profile.slow_skipped");
-  if (profile_busy_.exchange(true, std::memory_order_acq_rel)) {
-    skipped->Add();  // Never queue bursts behind a running profile.
-    return;
-  }
-  const util::Status status = obs::profile::CpuProfiler::Global().Start(
-      obs::profile::CpuProfileOptions());
-  if (!status.ok()) {
-    profile_busy_.store(false, std::memory_order_release);
-    skipped->Add();
-    return;
-  }
-  bursts->Add();
   const std::string path = options_.profile_on_slow_dir + "/slow-" +
                            obs::TraceIdHex(obs::CurrentContext()) +
                            ".folded";
-  const std::uint64_t seconds = static_cast<std::uint64_t>(
-      std::max(1, options_.profile_on_slow_seconds));
-  if (profile_thread_.joinable()) profile_thread_.join();
-  profile_thread_ = std::thread([this, path, seconds] {
-    const std::uint64_t deadline_ns =
-        obs::NowNs() + seconds * 1000000000ull;
-    while (obs::NowNs() < deadline_ns &&
-           !stop_requested_.load(std::memory_order_acquire)) {
-      struct timespec ts = {0, 50 * 1000 * 1000};
-      ::nanosleep(&ts, nullptr);
-    }
-    auto profile = obs::profile::CpuProfiler::Global().Stop();
-    if (profile.ok()) {
-      std::ofstream out(path, std::ios::trunc);
-      out << profile->ToFoldedText();
-      out.close();
-      P3GM_LOG(Info) << "p3gm serve: slow-request profile burst ("
-                     << profile->samples << " samples, "
-                     << profile->dropped << " dropped) written to "
-                     << path;
-    } else {
-      P3GM_LOG(Warning) << "p3gm serve: slow-request profile burst "
-                        << "failed: " << profile.status();
-    }
-    profile_busy_.store(false, std::memory_order_release);
-  });
+  const util::Status status = StartProfile(
+      obs::profile::CpuProfileOptions().hz,
+      static_cast<std::uint64_t>(
+          std::max(1, options_.profile_on_slow_seconds)),
+      [path](util::Result<obs::profile::CpuProfile> profile) {
+        if (!profile.ok()) {
+          P3GM_LOG(Warning) << "p3gm serve: slow-request profile burst "
+                            << "failed: " << profile.status();
+          return;
+        }
+        std::ofstream out(path, std::ios::trunc);
+        out << profile->ToFoldedText();
+        out.close();
+        if (!out) {
+          P3GM_LOG(Warning) << "p3gm serve: slow-request profile burst "
+                            << "could not be written to " << path;
+          return;
+        }
+        P3GM_LOG(Info) << "p3gm serve: slow-request profile burst ("
+                       << profile->samples << " samples, "
+                       << profile->dropped << " dropped) written to "
+                       << path;
+      });
+  if (!status.ok()) {
+    skipped->Add();  // Never queue bursts behind a running profile.
+    return;
+  }
+  bursts->Add();
 }
 
-void Server::DrainProfileCompletions() {
-  std::vector<ProfileCompletion> batch;
+void Server::Park(Connection* conn, std::uint64_t ticket) {
+  conn->parked = true;
+  conn->ticket = ticket;
+  ticket_to_fd_[ticket] = conn->fd;
+}
+
+void Server::Complete(std::uint64_t ticket,
+                      std::function<HttpResponse(const Connection&)> respond) {
   {
-    std::lock_guard<std::mutex> lock(profile_completions_mutex_);
-    batch.swap(profile_completions_);
+    std::lock_guard<std::mutex> lock(completions_mutex_);
+    completions_.push_back(Completion{ticket, std::move(respond)});
   }
-  for (ProfileCompletion& done : batch) {
-    const auto it = ticket_to_fd_.find(done.ticket);
-    if (it == ticket_to_fd_.end()) continue;  // Connection went away.
-    const int fd = it->second;
-    ticket_to_fd_.erase(it);
-    const auto conn_it = connections_.find(fd);
-    if (conn_it == connections_.end()) continue;
-    Connection* conn = conn_it->second.get();
-    if (!conn->awaiting_profile || conn->ticket != done.ticket) continue;
-    conn->awaiting_profile = false;
-    obs::RequestScope request_scope(conn->trace);
-    Respond(conn, std::move(done.response));
-    if (connections_.count(fd) == 0) continue;
-    conn->parser.ResetForNext();
-    PumpRequests(conn);
-  }
+  Wake();
 }
 
 void Server::DrainCompletions() {
@@ -897,26 +872,21 @@ void Server::DrainCompletions() {
     const auto conn_it = connections_.find(fd);
     if (conn_it == connections_.end()) continue;
     Connection* conn = conn_it->second.get();
-    if (!conn->awaiting_sample || conn->ticket != done.ticket) continue;
-    conn->awaiting_sample = false;
+    if (!conn->parked || conn->ticket != done.ticket) continue;
+    conn->parked = false;
     // Re-enter the request's trace scope: the response (headers, slow
     // log, latency attribution) belongs to the span that parked here.
     obs::RequestScope request_scope(conn->trace);
-    if (done.result.ok()) {
-      Respond(conn, JsonResponse(
-                        200, SampleResponseJson(conn->model,
-                                                conn->generation,
-                                                /*cached=*/false,
-                                                *done.result)));
-    } else {
-      Respond(conn, JsonResponse(StatusToHttp(done.result.status()),
-                                 ErrorJson(done.result.status().message())));
-    }
+    Respond(conn, done.respond(*conn));
     if (connections_.count(fd) == 0) continue;
     // The parked connection may hold a pipelined follow-up request.
     conn->parser.ResetForNext();
     PumpRequests(conn);
   }
+}
+
+Server::Reply Server::HandleReload(Connection*, const HttpRequest&) {
+  return ReloadNow();
 }
 
 HttpResponse Server::ReloadNow() {
@@ -1035,19 +1005,15 @@ void Server::HandleWritable(Connection* conn) {
 
 void Server::UpdateInterest(Connection* conn) {
   const bool want_write = conn->out_offset < conn->out.size();
-  // While a sample or profile is in flight we stop reading:
-  // backpressure, and the parked request's response must go out before
-  // the next one is read.
-  const bool want_read = !conn->awaiting_sample && !conn->awaiting_profile;
-  poller_->Update(conn->fd, want_read, want_write);
+  // While a request is parked we stop reading: backpressure, and the
+  // parked request's response must go out before the next one is read.
+  poller_->Update(conn->fd, /*want_read=*/!conn->parked, want_write);
 }
 
 void Server::CloseConnection(int fd) {
   const auto it = connections_.find(fd);
   if (it == connections_.end()) return;
-  if (it->second->awaiting_sample || it->second->awaiting_profile) {
-    ticket_to_fd_.erase(it->second->ticket);
-  }
+  if (it->second->parked) ticket_to_fd_.erase(it->second->ticket);
   poller_->Remove(fd);
   ::close(fd);
   connections_.erase(it);

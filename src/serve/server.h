@@ -4,14 +4,16 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "data/dataset.h"
+#include "obs/profile/profiler.h"
 #include "obs/trace_context.h"
 #include "serve/batcher.h"
 #include "serve/http.h"
@@ -55,12 +57,6 @@ struct ServerOptions {
   std::string profile_on_slow_dir;
   /// Burst length for --profile-on-slow captures.
   int profile_on_slow_seconds = 1;
-  /// Decode through the compiled infer::DecoderPlan (packed weights,
-  /// arena buffers, SIMD kernels). false routes every decode through the
-  /// reference nn/linalg path instead — the `--no-planned-decode`
-  /// escape hatch; outputs are bit-identical either way (see
-  /// docs/inference.md).
-  bool planned_decode = true;
   /// Synthesis-quality monitoring (docs/observability.md "Synthesis
   /// quality"): per-model streaming sketches folded from every decoded
   /// batch, scored against the package fingerprint on scrape.
@@ -68,13 +64,14 @@ struct ServerOptions {
   HttpLimits http;
 };
 
-/// The `p3gm serve` daemon: a single-threaded epoll/poll event loop
-/// (accept, parse, route, write) plus one batching executor thread that
-/// runs coalesced decoder passes (which in turn fan out through
-/// util::ThreadPool inside the gemm kernels). Sample requests park
-/// their connection until the batcher completes them via the wakeup
-/// pipe; every other endpoint answers inline. See docs/serving.md for
-/// the HTTP API and operational semantics.
+/// The `p3gm serve` daemon: a single-threaded epoll event loop (accept,
+/// parse, route, write) plus one batching executor thread that runs
+/// coalesced decoder passes (which in turn fan out through
+/// util::ThreadPool inside the gemm kernels). Requests are routed
+/// through one endpoint table. Sample and profile requests park their
+/// connection until another thread pushes a completion and wakes the
+/// loop through the wakeup pipe; every other endpoint answers inline.
+/// See docs/serving.md for the HTTP API and operational semantics.
 ///
 /// Lifecycle: Init (bind + load packages) -> Start (spawn threads) ->
 /// Stop (graceful drain; also run by the destructor). Stop() stops
@@ -121,10 +118,9 @@ class Server {
     std::string out;            // Serialized, not yet written.
     std::size_t out_offset = 0;
     bool close_after_write = false;
-    bool awaiting_sample = false;
-    /// Parked on /v1/profile: the connection waits (no reads, like a
-    /// parked sample) until the profile worker pushes its completion.
-    bool awaiting_profile = false;
+    /// Waiting on a completion for `ticket` (a sample or a profile): no
+    /// reads until DrainCompletions writes its response.
+    bool parked = false;
     std::uint64_t ticket = 0;
     // Context of the in-flight sample request, for response assembly.
     std::string model;
@@ -141,17 +137,24 @@ class Server {
         : fd(fd_in), parser(limits) {}
   };
 
+  /// A parked request's answer, pushed by the batcher or the profile
+  /// worker. `respond` runs on the loop thread when DrainCompletions
+  /// pops it, so response encoding stays off the pushing thread.
   struct Completion {
     std::uint64_t ticket = 0;
-    util::Result<data::Dataset> result;
+    std::function<HttpResponse(const Connection&)> respond;
   };
 
-  /// A finished /v1/profile capture, ready to flush to its parked
-  /// connection (same wakeup-pipe handoff as sample Completions).
-  struct ProfileCompletion {
-    std::uint64_t ticket = 0;
-    HttpResponse response;
+  /// What a route handler returns: the response to send inline, or
+  /// nullopt when it parked the connection (see Park).
+  using Reply = std::optional<HttpResponse>;
+  using Handler = Reply (Server::*)(Connection* conn, const HttpRequest& req);
+  struct Endpoint {
+    const char* method;
+    const char* path;  // Also the `endpoint` latency label.
+    Handler handler;
   };
+  static const Endpoint kEndpoints[];
 
   void LoopThread();
   void Wake();
@@ -160,25 +163,41 @@ class Server {
   void HandleWritable(Connection* conn);
   void PumpRequests(Connection* conn);
   void ProcessRequest(Connection* conn);
-  void HandleSample(Connection* conn, const HttpRequest& req);
+  Reply HandleSample(Connection* conn, const HttpRequest& req);
+  Reply HandleHealthz(Connection* conn, const HttpRequest& req);
+  Reply HandleModels(Connection* conn, const HttpRequest& req);
+  Reply HandleMetrics(Connection* conn, const HttpRequest& req);
+  Reply HandleQuality(Connection* conn, const HttpRequest& req);
   /// GET /v1/profile?seconds=N&hz=M — parks the connection, runs the
-  /// sampling CPU profiler on a worker thread, answers with folded
+  /// sampling CPU profiler on the profile worker, answers with folded
   /// stacks. 503 while any profile is already running.
-  void HandleProfile(Connection* conn, const HttpRequest& req);
+  Reply HandleProfile(Connection* conn, const HttpRequest& req);
   /// GET /v1/profile/heap — inline snapshot of the sampled heap
   /// profile (running since Start when P3GM_ALLOC_TRACKING is ON).
-  HttpResponse ProfileHeapResponse();
+  Reply HandleProfileHeap(Connection* conn, const HttpRequest& req);
+  Reply HandleReload(Connection* conn, const HttpRequest& req);
+  /// The one profile worker, shared by /v1/profile and
+  /// --profile-on-slow. Claims the single profile slot and starts the
+  /// CPU profiler at `hz`; a worker thread then waits `seconds` (cut
+  /// short by Stop), stops the profiler, frees the slot and hands the
+  /// capture to `done`. AlreadyExists when a profile is running, else
+  /// the profiler's Start error; neither failure spawns a thread.
+  util::Status StartProfile(
+      int hz, std::uint64_t seconds,
+      std::function<void(util::Result<obs::profile::CpuProfile>)> done);
   /// Fire-and-forget burst capture for --profile-on-slow; skipped
   /// (counted) when a profile is already running.
   void MaybeStartSlowProfile();
   void Respond(Connection* conn, HttpResponse response);
   void UpdateInterest(Connection* conn);
   void CloseConnection(int fd);
+  /// Marks `conn` as waiting for the completion of `ticket`.
+  void Park(Connection* conn, std::uint64_t ticket);
+  /// Thread-safe: queues the completion of `ticket` and wakes the loop.
+  void Complete(std::uint64_t ticket,
+                std::function<HttpResponse(const Connection&)> respond);
   void DrainCompletions();
-  void DrainProfileCompletions();
   HttpResponse ReloadNow();
-  HttpResponse MetricsResponse(const HttpRequest& req);
-  HttpResponse QualityResponse();
   /// Runs a quality scrape and logs the threshold-breach WARNs. Must be
   /// called inside the scraping request's obs::RequestScope so the WARN
   /// records carry its trace id.
@@ -207,8 +226,6 @@ class Server {
   // One profile at a time, process-wide: profile_busy_ is the admission
   // gate (exchange true = claimed); the single worker-thread slot is
   // joined before reuse and again at Stop.
-  std::mutex profile_completions_mutex_;
-  std::vector<ProfileCompletion> profile_completions_;
   std::thread profile_thread_;
   std::atomic<bool> profile_busy_{false};
 

@@ -127,7 +127,8 @@ Status BinaryReader::ReadMatrix(std::size_t* rows, std::size_t* cols,
                                 std::vector<double>* flat) {
   P3GM_ASSIGN_OR_RETURN(std::uint64_t r, ReadU64());
   P3GM_ASSIGN_OR_RETURN(std::uint64_t c, ReadU64());
-  if (r * c > kMaxElements) {
+  // Divide rather than multiply: r * c wraps in 64 bits.
+  if (c != 0 && r > kMaxElements / c) {
     return Status::InvalidArgument("matrix size implausible");
   }
   *rows = static_cast<std::size_t>(r);

@@ -4,7 +4,8 @@
 // Shared fixtures for the serve test suite: a deterministic
 // ReleasePackage built from explicit parts (no training pipeline), saved
 // to a unique temp file so ModelRegistry/Server can load it the way
-// production does, plus a tiny scoped-temp-dir helper.
+// production does, a hand-written package file for the malformed-input
+// cases, plus a tiny scoped-temp-dir helper.
 
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include "linalg/matrix.h"
 #include "stats/gmm.h"
 #include "util/check.h"
+#include "util/serialize.h"
 
 namespace p3gm {
 namespace serve_test {
@@ -57,6 +59,33 @@ inline core::ReleasePackage MakePackage(const std::string& name,
       std::move(b2));
   P3GM_CHECK(pkg.ok());
   return std::move(*pkg);
+}
+
+/// Writes a format-v1 release file byte by byte: latent 2 -> hidden 3
+/// -> 4 outputs, Bernoulli, one-component prior, with b1 of shape
+/// 1 x `b1_cols`. b1_cols == 3 is a well-formed package; any other
+/// width is a file whose shapes disagree, which ReleasePackage::Load
+/// must reject with an error rather than abort on.
+inline void WriteHandmadePackage(const std::string& path,
+                                 std::size_t b1_cols) {
+  const std::size_t dl = 2, h = 3, d = 4;
+  const std::vector<double> w1(dl * h, 0.1), b1(b1_cols, 0.0);
+  const std::vector<double> w2(h * d, -0.1), b2(d, 0.0);
+  const std::vector<double> means(dl, 0.0), variances(dl, 1.0);
+  util::BinaryWriter w(path, /*magic=*/0x50334752, /*version=*/1);
+  w.WriteString("handmade");
+  w.WriteU64(0);  // num_classes.
+  w.WriteU64(0);  // Bernoulli decoder.
+  w.WriteU64(1);  // Prior components.
+  w.WriteU64(dl);
+  w.WriteDoubles({1.0});
+  w.WriteMatrix(1, dl, means.data());
+  w.WriteMatrix(1, dl, variances.data());
+  w.WriteMatrix(dl, h, w1.data());
+  w.WriteMatrix(1, b1_cols, b1.data());
+  w.WriteMatrix(h, d, w2.data());
+  w.WriteMatrix(1, d, b2.data());
+  P3GM_CHECK(w.Close().ok());
 }
 
 /// Creates a unique temp directory; removes it (and its files) on

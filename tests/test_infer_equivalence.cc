@@ -1,8 +1,9 @@
 // Exhaustive equivalence suite for the planned decoder runtime
 // (src/infer): every test pins the planned path bit-for-bit — raw
 // memcmp on the doubles, stricter than operator== (it distinguishes
-// -0.0 from +0.0) — against the reference nn/linalg forward pass, per
-// the accumulation-order contract in docs/inference.md.
+// -0.0 from +0.0) — against the reference forward pass, an
+// nn::Sequential carrying the same weights, per the accumulation-order
+// contract in docs/inference.md.
 
 #include <algorithm>
 #include <cstdlib>
@@ -40,7 +41,9 @@ testing::AssertionResult BitIdentical(const linalg::Matrix& a,
            << "shape mismatch: " << a.rows() << "x" << a.cols() << " vs "
            << b.rows() << "x" << b.cols();
   }
-  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0) {
+  // An empty matrix may hold a null buffer, which memcmp must not see.
+  if (a.size() == 0 ||
+      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0) {
     return testing::AssertionSuccess();
   }
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -63,19 +66,6 @@ linalg::Matrix RandomMatrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-/// Restores the planned-decode switch on scope exit.
-class ScopedPlannedDecode {
- public:
-  explicit ScopedPlannedDecode(bool enabled)
-      : previous_(infer::PlannedDecodeEnabled()) {
-    infer::SetPlannedDecodeEnabled(enabled);
-  }
-  ~ScopedPlannedDecode() { infer::SetPlannedDecodeEnabled(previous_); }
-
- private:
-  bool previous_;
-};
-
 /// Sets P3GM_INFER_FORCE_SCALAR=1 for the scope (ActiveTier re-reads the
 /// environment on every call, so this flips the dispatch immediately).
 class ScopedForceScalar {
@@ -89,31 +79,17 @@ struct LayerShape {
   infer::Activation act;
 };
 
-/// Builds the same architecture twice — a reference nn::Sequential and a
-/// compiled DecoderPlan sharing the exact same weights — and returns
-/// both forward passes on `x`.
-struct ForwardPair {
-  linalg::Matrix reference;
-  linalg::Matrix planned;
-};
-
-ForwardPair RunBothPaths(std::size_t in_dim,
-                         const std::vector<LayerShape>& shapes,
-                         const linalg::Matrix& x, util::Rng* rng) {
-  std::vector<linalg::Matrix> weights;
-  std::vector<linalg::Matrix> biases;
-  std::size_t prev = in_dim;
-  for (const LayerShape& s : shapes) {
-    weights.push_back(RandomMatrix(prev, s.out, rng));
-    biases.push_back(RandomMatrix(1, s.out, rng));
-    prev = s.out;
-  }
-
-  // Reference: nn::Sequential of Linear + activation layers with the
-  // generated weights patched in (Linear's own init is overwritten).
+/// The reference forward pass: an nn::Sequential of Linear + activation
+/// layers with `weights`/`biases` patched in (Linear's own init is
+/// overwritten). kClamp01 has no nn layer; as the final head it is
+/// applied by hand.
+linalg::Matrix SequentialForward(const std::vector<LayerShape>& shapes,
+                                 const std::vector<linalg::Matrix>& weights,
+                                 const std::vector<linalg::Matrix>& biases,
+                                 const linalg::Matrix& x) {
   nn::Sequential seq("ref");
   util::Rng init_rng(7);
-  prev = in_dim;
+  std::size_t prev = weights.front().rows();
   for (std::size_t l = 0; l < shapes.size(); ++l) {
     nn::Linear* lin =
         seq.Emplace<nn::Linear>("l" + std::to_string(l), prev,
@@ -137,18 +113,38 @@ ForwardPair RunBothPaths(std::size_t in_dim,
     prev = shapes[l].out;
   }
 
-  ForwardPair pair;
-  pair.reference = seq.Forward(x, /*train=*/false);
-  for (std::size_t l = 0; l < shapes.size(); ++l) {
-    if (shapes[l].act == infer::Activation::kClamp01 &&
-        l + 1 == shapes.size()) {
-      double* d = pair.reference.data();
-      for (std::size_t i = 0; i < pair.reference.size(); ++i) {
-        d[i] = std::clamp(d[i], 0.0, 1.0);
-      }
+  linalg::Matrix out = seq.Forward(x, /*train=*/false);
+  if (shapes.back().act == infer::Activation::kClamp01) {
+    double* d = out.data();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      d[i] = std::clamp(d[i], 0.0, 1.0);
     }
   }
+  return out;
+}
 
+/// Builds the same architecture twice — a reference nn::Sequential and a
+/// compiled DecoderPlan sharing the exact same weights — and returns
+/// both forward passes on `x`.
+struct ForwardPair {
+  linalg::Matrix reference;
+  linalg::Matrix planned;
+};
+
+ForwardPair RunBothPaths(std::size_t in_dim,
+                         const std::vector<LayerShape>& shapes,
+                         const linalg::Matrix& x, util::Rng* rng) {
+  std::vector<linalg::Matrix> weights;
+  std::vector<linalg::Matrix> biases;
+  std::size_t prev = in_dim;
+  for (const LayerShape& s : shapes) {
+    weights.push_back(RandomMatrix(prev, s.out, rng));
+    biases.push_back(RandomMatrix(1, s.out, rng));
+    prev = s.out;
+  }
+
+  ForwardPair pair;
+  pair.reference = SequentialForward(shapes, weights, biases, x);
   std::vector<infer::LayerSpec> specs;
   for (std::size_t l = 0; l < shapes.size(); ++l) {
     specs.push_back({&weights[l], &biases[l], shapes[l].act});
@@ -159,9 +155,22 @@ ForwardPair RunBothPaths(std::size_t in_dim,
   return pair;
 }
 
-core::ReleasePackage MakeDecodePackage(core::DecoderType type,
-                                       std::size_t latent, std::size_t hidden,
-                                       std::size_t out, std::uint64_t seed) {
+/// A release package plus the weights it was built from, so its decode
+/// can be checked against SequentialForward on the same weights.
+struct DecodeCase {
+  core::ReleasePackage pkg;
+  std::vector<LayerShape> shapes;
+  std::vector<linalg::Matrix> weights;
+  std::vector<linalg::Matrix> biases;
+
+  linalg::Matrix Reference(const linalg::Matrix& z) const {
+    return SequentialForward(shapes, weights, biases, z);
+  }
+};
+
+DecodeCase MakeDecodeCase(core::DecoderType type, std::size_t latent,
+                          std::size_t hidden, std::size_t out,
+                          std::uint64_t seed) {
   util::Rng rng(seed);
   linalg::Matrix means(2, latent);
   linalg::Matrix vars(2, latent, 1.0);
@@ -171,12 +180,23 @@ core::ReleasePackage MakeDecodePackage(core::DecoderType type,
   auto prior = stats::GaussianMixture::Create({0.5, 0.5}, std::move(means),
                                               std::move(vars));
   EXPECT_TRUE(prior.ok());
+  linalg::Matrix w1 = RandomMatrix(latent, hidden, &rng);
+  linalg::Matrix b1 = RandomMatrix(1, hidden, &rng);
+  linalg::Matrix w2 = RandomMatrix(hidden, out, &rng);
+  linalg::Matrix b2 = RandomMatrix(1, out, &rng);
+  DecodeCase c;
+  c.shapes = {{hidden, infer::Activation::kRelu},
+              {out, type == core::DecoderType::kBernoulli
+                        ? infer::Activation::kSigmoid
+                        : infer::Activation::kClamp01}};
+  c.weights = {w1, w2};
+  c.biases = {b1, b2};
   auto pkg = core::ReleasePackage::FromParts(
       "equiv", /*num_classes=*/0, type, std::move(prior).ValueOrDie(),
-      RandomMatrix(latent, hidden, &rng), RandomMatrix(1, hidden, &rng),
-      RandomMatrix(hidden, out, &rng), RandomMatrix(1, out, &rng));
+      std::move(w1), std::move(b1), std::move(w2), std::move(b2));
   EXPECT_TRUE(pkg.ok()) << pkg.status();
-  return std::move(pkg).ValueOrDie();
+  c.pkg = std::move(pkg).ValueOrDie();
+  return c;
 }
 
 // --- property-based planned vs. Sequential ------------------------------
@@ -320,45 +340,23 @@ TEST(InferEquivalence, ForceScalarMatchesActiveTier) {
 // --- DecodeLatent / Generate against the reference path -----------------
 
 TEST(InferEquivalence, DecodeLatentMatchesReferenceBernoulli) {
-  core::ReleasePackage pkg =
-      MakeDecodePackage(core::DecoderType::kBernoulli, 11, 47, 30, 1);
+  const DecodeCase c =
+      MakeDecodeCase(core::DecoderType::kBernoulli, 11, 47, 30, 1);
   util::Rng rng(5);
-  linalg::Matrix z = pkg.SampleLatent(129, &rng);
-  linalg::Matrix planned, reference;
-  {
-    ScopedPlannedDecode on(true);
-    auto r = pkg.DecodeLatent(z);
-    ASSERT_TRUE(r.ok());
-    planned = std::move(r).ValueOrDie();
-  }
-  {
-    ScopedPlannedDecode off(false);
-    auto r = pkg.DecodeLatent(z);
-    ASSERT_TRUE(r.ok());
-    reference = std::move(r).ValueOrDie();
-  }
-  EXPECT_TRUE(BitIdentical(reference, planned));
+  linalg::Matrix z = c.pkg.SampleLatent(129, &rng);
+  auto planned = c.pkg.DecodeLatent(z);
+  ASSERT_TRUE(planned.ok());
+  EXPECT_TRUE(BitIdentical(c.Reference(z), *planned));
 }
 
 TEST(InferEquivalence, DecodeLatentMatchesReferenceGaussian) {
-  core::ReleasePackage pkg =
-      MakeDecodePackage(core::DecoderType::kGaussian, 7, 33, 21, 2);
+  const DecodeCase c =
+      MakeDecodeCase(core::DecoderType::kGaussian, 7, 33, 21, 2);
   util::Rng rng(6);
-  linalg::Matrix z = pkg.SampleLatent(64, &rng);
-  linalg::Matrix planned, reference;
-  {
-    ScopedPlannedDecode on(true);
-    auto r = pkg.DecodeLatent(z);
-    ASSERT_TRUE(r.ok());
-    planned = std::move(r).ValueOrDie();
-  }
-  {
-    ScopedPlannedDecode off(false);
-    auto r = pkg.DecodeLatent(z);
-    ASSERT_TRUE(r.ok());
-    reference = std::move(r).ValueOrDie();
-  }
-  EXPECT_TRUE(BitIdentical(reference, planned));
+  linalg::Matrix z = c.pkg.SampleLatent(64, &rng);
+  auto planned = c.pkg.DecodeLatent(z);
+  ASSERT_TRUE(planned.ok());
+  EXPECT_TRUE(BitIdentical(c.Reference(z), *planned));
 }
 
 // Special values must flow through every path with identical bits:
@@ -412,35 +410,35 @@ TEST(InferEquivalence, SpecialValueLatentsMatchAcrossPathsAndTiers) {
 }
 
 // DecodeLatentInto is the serving batcher's entry point: same bytes as
-// DecodeLatent under either runtime, with the caller's buffer reused.
+// DecodeLatent and the reference, with the caller's buffer reused.
 TEST(InferEquivalence, DecodeLatentIntoMatchesDecodeLatent) {
-  core::ReleasePackage pkg =
-      MakeDecodePackage(core::DecoderType::kGaussian, 9, 41, 26, 3);
+  const DecodeCase c =
+      MakeDecodeCase(core::DecoderType::kGaussian, 9, 41, 26, 3);
   util::Rng rng(7);
-  linalg::Matrix z = pkg.SampleLatent(77, &rng);
-  for (const bool planned : {true, false}) {
-    ScopedPlannedDecode mode(planned);
-    auto by_value = pkg.DecodeLatent(z);
-    ASSERT_TRUE(by_value.ok());
-    linalg::Matrix into;
-    ASSERT_TRUE(pkg.DecodeLatentInto(z, &into).ok());
-    EXPECT_TRUE(BitIdentical(*by_value, into))
-        << "planned=" << planned;
-  }
+  linalg::Matrix z = c.pkg.SampleLatent(77, &rng);
+  auto by_value = c.pkg.DecodeLatent(z);
+  ASSERT_TRUE(by_value.ok());
+  linalg::Matrix into;
+  ASSERT_TRUE(c.pkg.DecodeLatentInto(z, &into).ok());
+  EXPECT_TRUE(BitIdentical(*by_value, into));
+  EXPECT_TRUE(BitIdentical(c.Reference(z), into));
 }
 
 // One output buffer across growing and shrinking batches — the
 // batcher's steady state. Every pass must match a fresh DecodeLatent,
-// and a same-shape pass must not reallocate.
+// and a same-shape pass must not reallocate. Zero rows decode to an
+// empty 0 x output_dim matrix.
 TEST(InferEquivalence, DecodeLatentIntoReusesBufferAcrossBatchSizes) {
-  core::ReleasePackage pkg =
-      MakeDecodePackage(core::DecoderType::kBernoulli, 8, 37, 22, 4);
-  ScopedPlannedDecode on(true);
+  const DecodeCase c =
+      MakeDecodeCase(core::DecoderType::kBernoulli, 8, 37, 22, 4);
+  const core::ReleasePackage& pkg = c.pkg;
   linalg::Matrix out;
   util::Rng rng(8);
-  for (const std::size_t rows : {64, 7, 128, 1, 128}) {
+  for (const std::size_t rows : {64, 7, 0, 128, 1, 128}) {
     linalg::Matrix z = pkg.SampleLatent(rows, &rng);
-    ASSERT_TRUE(pkg.DecodeLatentInto(z, &out).ok());
+    ASSERT_TRUE(pkg.DecodeLatentInto(z, &out).ok()) << "rows=" << rows;
+    EXPECT_EQ(out.rows(), rows);
+    EXPECT_EQ(out.cols(), pkg.output_dim());
     const double* buffer = out.data();
     auto fresh = pkg.DecodeLatent(z);
     ASSERT_TRUE(fresh.ok());
@@ -453,36 +451,27 @@ TEST(InferEquivalence, DecodeLatentIntoReusesBufferAcrossBatchSizes) {
 }
 
 TEST(InferEquivalence, DecodeLatentIntoRejectsBadShapes) {
-  core::ReleasePackage pkg =
-      MakeDecodePackage(core::DecoderType::kGaussian, 6, 19, 12, 5);
-  linalg::Matrix wrong(3, pkg.latent_dim() + 1);
+  const DecodeCase c =
+      MakeDecodeCase(core::DecoderType::kGaussian, 6, 19, 12, 5);
+  linalg::Matrix wrong(3, c.pkg.latent_dim() + 1);
   linalg::Matrix out;
-  EXPECT_FALSE(pkg.DecodeLatentInto(wrong, &out).ok());
+  EXPECT_FALSE(c.pkg.DecodeLatentInto(wrong, &out).ok());
 }
 
-// Fixed-seed Generate must produce identical datasets through both
-// paths: sampling consumes the RNG identically and decoding is
-// bit-identical, so features and labels match exactly.
+// Fixed-seed Generate must produce the dataset the reference decode of
+// the same latents assembles: sampling consumes the RNG identically and
+// decoding is bit-identical, so features and labels match exactly.
 TEST(InferEquivalence, GenerateEndToEndMatchesReference) {
-  core::ReleasePackage pkg =
-      MakeDecodePackage(core::DecoderType::kBernoulli, 5, 19, 12, 3);
-  data::Dataset planned, reference;
-  {
-    ScopedPlannedDecode on(true);
-    util::Rng rng(31337);
-    auto r = pkg.Generate(200, &rng);
-    ASSERT_TRUE(r.ok());
-    planned = std::move(r).ValueOrDie();
-  }
-  {
-    ScopedPlannedDecode off(false);
-    util::Rng rng(31337);
-    auto r = pkg.Generate(200, &rng);
-    ASSERT_TRUE(r.ok());
-    reference = std::move(r).ValueOrDie();
-  }
-  EXPECT_TRUE(BitIdentical(reference.features, planned.features));
-  EXPECT_EQ(reference.labels, planned.labels);
+  const DecodeCase c =
+      MakeDecodeCase(core::DecoderType::kBernoulli, 5, 19, 12, 3);
+  util::Rng rng(31337);
+  auto planned = c.pkg.Generate(200, &rng);
+  ASSERT_TRUE(planned.ok());
+  util::Rng replay(31337);
+  const data::Dataset reference =
+      c.pkg.AssembleRows(c.Reference(c.pkg.SampleLatent(200, &replay)));
+  EXPECT_TRUE(BitIdentical(reference.features, planned->features));
+  EXPECT_EQ(reference.labels, planned->labels);
 }
 
 // --- concurrency / reuse -------------------------------------------------

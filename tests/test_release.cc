@@ -7,6 +7,7 @@
 #include "core/synthesizer.h"
 #include "data/synthetic.h"
 #include "linalg/ops.h"
+#include "serve_test_util.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -72,6 +73,28 @@ TEST(SerializeTest, MatrixRoundTrip) {
   auto back = linalg::Matrix::FromFlat(rows, cols, std::move(flat));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, m);
+}
+
+// A 16-byte shape header of 2^32 x 2^32 with no payload: rows * cols
+// wraps to 0 in 64 bits, so a multiplied bound would let it through and
+// hand back a matrix whose shape does not match its (empty) buffer.
+TEST(SerializeTest, MatrixShapeHeaderThatWrapsIsRejected) {
+  const std::string path = ::testing::TempDir() + "/p3gm_ser5.bin";
+  const std::uint64_t kHuge = 1ull << 32;
+  {
+    util::BinaryWriter w(path, 0x3, 1);
+    w.WriteU64(kHuge);
+    w.WriteU64(kHuge);
+    ASSERT_TRUE(w.Close().ok());
+  }
+  util::BinaryReader r(path, 0x3, 1);
+  ASSERT_TRUE(r.status().ok());
+  std::size_t rows = 0, cols = 0;
+  std::vector<double> flat;
+  EXPECT_EQ(r.ReadMatrix(&rows, &cols, &flat).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(linalg::Matrix::FromFlat(kHuge, kHuge, {}).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST(SerializeTest, MissingFileFails) {
@@ -195,6 +218,23 @@ TEST(ReleaseVaeTest, FromVaeUsesStandardNormalPrior) {
   }
   util::Rng rng(7);
   EXPECT_TRUE(pkg->Generate(20, &rng).ok());
+}
+
+// A v1 file whose b1 is 1x5 against a hidden width of 3 must fail to
+// load with InvalidArgument, never abort while compiling the plan.
+TEST(ReleaseEdgeTest, LoadRejectsInconsistentDecoderShapes) {
+  const std::string good = ::testing::TempDir() + "/p3gm_handmade.release";
+  serve_test::WriteHandmadePackage(good, /*b1_cols=*/3);
+  auto loaded = core::ReleasePackage::Load(good);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->output_dim(), 4u);
+
+  const std::string bad = ::testing::TempDir() + "/p3gm_bad_b1.release";
+  serve_test::WriteHandmadePackage(bad, /*b1_cols=*/5);
+  auto rejected = core::ReleasePackage::Load(bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument)
+      << rejected.status();
 }
 
 TEST(ReleaseEdgeTest, GenerateZeroRowsFails) {

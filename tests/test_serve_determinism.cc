@@ -7,6 +7,7 @@
 // the decoder computes every output row independently of its batch
 // neighbours (see ReleasePackage::DecodeLatent).
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,7 +16,7 @@
 
 #include "audit/golden.h"
 #include "gtest/gtest.h"
-#include "infer/plan.h"
+#include "infer/kernels.h"
 #include "obs/observability.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -35,12 +36,10 @@ class ServeDeterminismTest : public ::testing::Test {
     pkg_path_ = dir_.WritePackage(MakePackage("alpha"), "alpha");
   }
 
-  std::unique_ptr<Server> StartServer(std::size_t max_batch,
-                                      bool planned_decode = true) {
+  std::unique_ptr<Server> StartServer(std::size_t max_batch) {
     ServerOptions options;
     options.port = 0;
     options.max_batch = max_batch;
-    options.planned_decode = planned_decode;
     auto server = std::make_unique<Server>(options);
     P3GM_CHECK(server->Init({pkg_path_}).ok());
     P3GM_CHECK(server->Start().ok());
@@ -151,57 +150,21 @@ TEST_F(ServeDeterminismTest, UnseededRequestsVary) {
   EXPECT_NE(a->body, b->body);
 }
 
-TEST_F(ServeDeterminismTest, PlannedAndReferenceDecodeServeIdenticalBytes) {
-  // The compiled infer::DecoderPlan is contractually bit-identical to the
-  // reference nn path (docs/inference.md), so a seeded request must get
-  // the exact same bytes from a --no-planned-decode server. The toggle is
-  // process-global, so the two configurations run strictly one after the
-  // other.
-  const std::vector<std::pair<std::uint64_t, int>> requests = {
-      {42, 10}, {7, 1}, {1234567, 33}};
-  std::vector<std::string> planned_bodies;
-  {
-    auto planned = StartServer(/*max_batch=*/8, /*planned_decode=*/true);
-    HttpClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", planned->port()).ok());
-    for (const auto& [seed, n] : requests) {
-      auto response = client.Post("/v1/sample", SampleBody(seed, n));
-      ASSERT_TRUE(response.ok());
-      ASSERT_EQ(response->status, 200);
-      planned_bodies.push_back(response->body);
-    }
-  }
-  {
-    auto reference = StartServer(/*max_batch=*/8, /*planned_decode=*/false);
-    HttpClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", reference->port()).ok());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      auto response = client.Post(
-          "/v1/sample", SampleBody(requests[i].first, requests[i].second));
-      ASSERT_TRUE(response.ok());
-      ASSERT_EQ(response->status, 200);
-      EXPECT_EQ(response->body, planned_bodies[i])
-          << "seed " << requests[i].first;
-    }
-  }
-  // Init(planned_decode=false) flipped the process-global switch; put it
-  // back for the rest of the binary.
-  infer::SetPlannedDecodeEnabled(true);
-}
-
 TEST_F(ServeDeterminismTest, GoldenDecodeFixtureMatchesBothRuntimes) {
-  // The checked-in fixture pins fixed-seed synthesis bytes; both decode
-  // runtimes must reproduce it exactly.
+  // The checked-in fixture pins fixed-seed synthesis bytes; the decoder
+  // plan must reproduce it exactly on both kernel tiers — the one this
+  // host dispatches to and the forced scalar tier (identical on hosts
+  // without AVX2).
   const std::string path =
       std::string(P3GM_GOLDEN_DIR) + "/decode_small.golden";
-  const audit::GoldenCompareResult planned = audit::CompareGoldenDecode(path);
-  EXPECT_TRUE(planned.ok) << planned.message;
+  const audit::GoldenCompareResult native = audit::CompareGoldenDecode(path);
+  EXPECT_TRUE(native.ok) << native.message;
 
-  infer::SetPlannedDecodeEnabled(false);
-  const audit::GoldenCompareResult reference =
-      audit::CompareGoldenDecode(path);
-  infer::SetPlannedDecodeEnabled(true);
-  EXPECT_TRUE(reference.ok) << reference.message;
+  ::setenv("P3GM_INFER_FORCE_SCALAR", "1", 1);
+  EXPECT_EQ(infer::ActiveTier(), infer::KernelTier::kScalar);
+  const audit::GoldenCompareResult scalar = audit::CompareGoldenDecode(path);
+  ::unsetenv("P3GM_INFER_FORCE_SCALAR");
+  EXPECT_TRUE(scalar.ok) << scalar.message;
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // End-to-end tests for the `p3gm serve` daemon: a real Server on an
 // ephemeral port exercised through the in-repo blocking HttpClient over
 // TCP. Covers the full surface — health, model listing, sample shape,
-// caching, hot-reload, overload, error mapping — plus lifecycle
-// hygiene: clean shutdown must not leak a single file descriptor.
+// caching, hot-reload (including a malformed package on disk), overload,
+// error mapping — plus lifecycle hygiene: clean shutdown must not leak a
+// single file descriptor, and a poller that cannot be created fails
+// Start.
 
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "gtest/gtest.h"
 #include "obs/json.h"
@@ -144,13 +148,23 @@ TEST_F(ServeE2eTest, ErrorMapping) {
        400},
       {"GET", "/nope", "", 404},
       {"POST", "/v1/nope", "{}", 404},
+      // Routing is by (method, path): a known path under the other
+      // known method is an unknown endpoint, not a 405.
+      {"GET", "/v1/sample", "", 404},
+      {"POST", "/healthz", "", 404},
       {"DELETE", "/v1/sample", "", 405},
+      {"PUT", "/nope", "", 405},
   };
   for (const Case& c : cases) {
     auto response = client_.Request(c.method, c.target, c.body);
     ASSERT_TRUE(response.ok())
         << c.method << " " << c.target << ": " << response.status();
     EXPECT_EQ(response->status, c.want) << c.method << " " << c.target;
+    if (c.want == 405) {
+      const std::string* allow = response->FindHeader("Allow");
+      ASSERT_NE(allow, nullptr) << c.method << " " << c.target;
+      EXPECT_EQ(*allow, "GET, POST");
+    }
     // Every error body is a JSON object with an "error" key.
     if (response->status >= 400) {
       obs::json::Value body = ParseJson(response->body);
@@ -274,15 +288,40 @@ TEST_F(ServeE2eTest, MetricsEndpointExportsRegistry) {
 #endif
 }
 
-TEST_F(ServeE2eTest, PollBackendServesRequests) {
-  ::setenv("P3GM_SERVE_FORCE_POLL", "1", 1);
+TEST_F(ServeE2eTest, ReloadOfMalformedPackageKeepsServing) {
   StartServer(ServerOptions(), {pkg_path_});
-  ::unsetenv("P3GM_SERVE_FORCE_POLL");
-  auto response = client_.Post("/v1/sample",
-                               "{\"model\": \"alpha\", \"n\": 3}");
-  ASSERT_TRUE(response.ok()) << response.status();
-  ASSERT_EQ(response->status, 200);
-  EXPECT_EQ(ParseJson(response->body).Find("rows")->items.size(), 3u);
+  // Replace the package on disk with one whose b1 is 1x5 against a
+  // hidden width of 3: the reload must fail cleanly, not abort.
+  serve_test::WriteHandmadePackage(pkg_path_, /*b1_cols=*/5);
+  auto reload = client_.Post("/v1/reload", "");
+  ASSERT_TRUE(reload.ok()) << reload.status();
+  EXPECT_EQ(reload->status, 500);
+  EXPECT_NE(ParseJson(reload->body).Find("error"), nullptr);
+  // The previous generation keeps serving.
+  auto sample = client_.Post("/v1/sample",
+                             "{\"model\": \"alpha\", \"n\": 3}");
+  ASSERT_TRUE(sample.ok()) << sample.status();
+  ASSERT_EQ(sample->status, 200);
+  obs::json::Value body = ParseJson(sample->body);
+  EXPECT_EQ(body.Find("generation")->number_value, 1.0);
+  EXPECT_EQ(body.Find("rows")->items.size(), 3u);
+  EXPECT_EQ(server_->registry().generation(), 1u);
+}
+
+TEST_F(ServeE2eTest, StartFailsWhenEpollIsUnavailable) {
+  Server server{ServerOptions()};
+  ASSERT_TRUE(server.Init({pkg_path_}).ok());
+  // With no descriptor left to allocate, epoll_create1 fails; Start must
+  // report it instead of running a loop without a poller.
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct rlimit none = saved;
+  none.rlim_cur = 0;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &none), 0);
+  const util::Status status = server.Start();
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(status.code(), util::StatusCode::kIoError) << status;
+  EXPECT_FALSE(server.running());
 }
 
 TEST_F(ServeE2eTest, InitFailsOnMissingPackage) {

@@ -2,18 +2,23 @@
 // /v1/profile under concurrent sample load (the acceptance scenario —
 // folded stacks with identifiable decoder/serve frames), the 503
 // single-profiler admission gate, parameter validation, GET
-// /v1/profile/heap, and the p3gm_process_* gauges on /v1/metrics. The
-// `threads` label runs this suite under TSan, which is the
-// signal-handler-vs-event-loop race audit.
+// /v1/profile/heap, the p3gm_process_* gauges on /v1/metrics, and the
+// --profile-on-slow bursts. The `threads` label runs this suite under
+// TSan, which is the signal-handler-vs-event-loop race audit.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <dirent.h>
+#include <unistd.h>
 
 #include "gtest/gtest.h"
 #include "obs/observability.h"
@@ -22,6 +27,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve_test_util.h"
+#include "util/logging.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define P3GM_UNDER_SANITIZER 1
@@ -250,6 +256,90 @@ TEST_F(ServeProfileTest, SamplingLeavesAllocCountersBalanced) {
   EXPECT_GE(after.alloc_count, before.alloc_count);
   EXPECT_GE(after.bytes_allocated, before.bytes_allocated);
   EXPECT_LE(after.live_bytes, after.peak_live_bytes);
+}
+
+// --profile-on-slow: a server whose every request is "slow" (1 ms),
+// writing bursts into `burst_dir`. One large sample request triggers
+// exactly one burst; Stop cuts the burst short and joins its worker, so
+// the burst's outcome is final once RunSlowRequest returns. Returns the
+// request's X-Request-Id.
+std::string RunSlowRequest(const std::string& burst_dir) {
+  obs::SetEnabled(true);
+  obs::Registry::Global().Reset();
+  TempDir dir;
+  const std::string path = dir.WritePackage(MakePackage("alpha"), "alpha");
+  ServerOptions options;
+  options.port = 0;
+  options.slow_request_ms = 1;
+  options.profile_on_slow_dir = burst_dir;
+  Server server(options);
+  EXPECT_TRUE(server.Init({path}).ok());
+  EXPECT_TRUE(server.Start().ok());
+  HttpClient client;
+  EXPECT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  // 50k fresh rows serialized to JSON take well over a millisecond.
+  auto response = client.Post(
+      "/v1/sample", "{\"model\": \"alpha\", \"n\": 50000, \"fresh\": true}");
+  server.Stop();
+  if (!response.ok() || response->status != 200 ||
+      response->FindHeader("X-Request-Id") == nullptr) {
+    ADD_FAILURE() << "slow request failed";
+    return "";
+  }
+  return *response->FindHeader("X-Request-Id");
+}
+
+std::vector<std::string> ListDir(const std::string& path) {
+  std::vector<std::string> names;
+  if (DIR* d = ::opendir(path.c_str())) {
+    while (const struct dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name != "." && name != "..") names.push_back(name);
+    }
+    ::closedir(d);
+  }
+  return names;
+}
+
+TEST(ServeSlowProfileTest, SlowRequestWritesOneBurst) {
+  TempDir bursts;
+  const std::string id = RunSlowRequest(bursts.path());
+  ASSERT_EQ(id.size(), 32u);
+  const std::vector<std::string> files = ListDir(bursts.path());
+  for (const std::string& f : files) {
+    ::unlink((bursts.path() + "/" + f).c_str());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0], "slow-" + id + ".folded");
+#if P3GM_OBSERVABILITY_ENABLED
+  EXPECT_EQ(obs::Registry::Global()
+                .counter("serve.profile.slow_bursts")
+                ->value(),
+            1u);
+#endif
+}
+
+TEST(ServeSlowProfileTest, UnwritableBurstLogsWarning) {
+  std::mutex mutex;
+  std::vector<std::pair<util::LogLevel, std::string>> records;
+  util::SetLogSinkForTest(
+      [&](util::LogLevel level, const std::string& record) {
+        if (record.find("profile burst") == std::string::npos) return;
+        std::lock_guard<std::mutex> lock(mutex);
+        records.emplace_back(level, record);
+      });
+  TempDir bursts;
+  const std::string missing = bursts.path() + "/missing";
+  RunSlowRequest(missing);
+  util::SetLogSinkForTest(nullptr);
+
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].first, util::LogLevel::kWarning) << records[0].second;
+  EXPECT_NE(records[0].second.find("could not be written"),
+            std::string::npos)
+      << records[0].second;
+  EXPECT_NE(records[0].second.find(missing), std::string::npos)
+      << records[0].second;
 }
 
 }  // namespace

@@ -35,7 +35,6 @@
 #include "core/release.h"
 #include "dp/accountant.h"
 #include "dp/mechanisms.h"
-#include "infer/plan.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
@@ -329,35 +328,27 @@ std::vector<MicroBench> BuildSuite(bool smoke) {
         });
   }
 
-  // Decoder synthesis through both runtimes: the compiled inference
-  // plan (packed weights, fused SIMD kernels) and the reference
-  // nn/linalg forward pass, both via DecodeLatentInto — the serve
-  // batcher's call. bench/bench_decode sweeps batch sizes; these micros
-  // pin the serving-shaped batch into the cross-commit trajectory.
+  // Decoder synthesis through the compiled inference plan (packed
+  // weights, fused SIMD kernels) via DecodeLatentInto — the serve
+  // batcher's call. bench/bench_decode sweeps batch sizes; this micro
+  // pins the serving-shaped batch into the cross-commit trajectory.
   {
     const std::size_t dl = smoke ? 16 : 64;
     const std::size_t h = smoke ? 64 : 512;
     const std::size_t d = smoke ? 48 : 786;
     const std::size_t batch = smoke ? 32 : 256;
-    const std::string tag =
-        std::to_string(batch) + "x" + std::to_string(d);
-    for (const bool planned : {true, false}) {
-      add(std::string(planned ? "decode.planned." : "decode.reference.") +
-              tag,
-          [dl, h, d, batch, planned]() {
-            auto pkg = std::make_shared<core::ReleasePackage>(
-                DecodePackage(dl, h, d));
-            util::Rng rng(41);
-            auto z = std::make_shared<Matrix>(pkg->SampleLatent(batch, &rng));
-            auto out = std::make_shared<Matrix>();
-            return [pkg, z, out, planned] {
-              infer::SetPlannedDecodeEnabled(planned);
-              const util::Status s = pkg->DecodeLatentInto(*z, out.get());
-              infer::SetPlannedDecodeEnabled(true);
-              Keep(s.ok() ? out->data()[0] : 0.0);
-            };
-          });
-    }
+    add("decode.planned." + std::to_string(batch) + "x" + std::to_string(d),
+        [dl, h, d, batch]() {
+          auto pkg = std::make_shared<core::ReleasePackage>(
+              DecodePackage(dl, h, d));
+          util::Rng rng(41);
+          auto z = std::make_shared<Matrix>(pkg->SampleLatent(batch, &rng));
+          auto out = std::make_shared<Matrix>();
+          return [pkg, z, out] {
+            const util::Status s = pkg->DecodeLatentInto(*z, out.get());
+            Keep(s.ok() ? out->data()[0] : 0.0);
+          };
+        });
   }
 
   // Observability hot paths: one flight-recorder append (the per-event

@@ -112,10 +112,6 @@ int Usage() {
                "                       p3gm_flight.dump)\n"
                "  --no-obs             disable the metrics registry\n"
                "                       (/v1/metrics reports zeros)\n"
-               "  --no-planned-decode  decode via the reference nn/linalg\n"
-               "                       path instead of the compiled plan\n"
-               "                       (bit-identical; see\n"
-               "                       docs/inference.md)\n"
                "  --quality-threshold T  drift alarm threshold on the\n"
                "                       quality monitor, (0, 2] (default\n"
                "                       0.15)\n"
@@ -595,8 +591,6 @@ int CmdServe(int argc, char** argv) {
       flight_dump_path = text;
     } else if (arg == "--no-obs") {
       obs_enabled = false;
-    } else if (arg == "--no-planned-decode") {
-      options.planned_decode = false;
     } else if (arg == "--quality-threshold") {
       const char* text = value();
       double d = 0;
