@@ -8,6 +8,7 @@
 #include "core/release.h"
 #include "data/dataset.h"
 #include "linalg/matrix.h"
+#include "pca/pca.h"
 #include "stats/gmm.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -19,6 +20,7 @@ namespace {
 
 constexpr char kHeader[] = "# p3gm golden trace v1";
 constexpr char kDecodeHeader[] = "# p3gm golden decode v1";
+constexpr char kDpPcaHeader[] = "# p3gm golden dp-pca v1";
 constexpr double kDelta = 1e-5;
 
 // Shared line-by-line comparison: regenerated `fresh` lines against the
@@ -60,6 +62,15 @@ GoldenCompareResult CompareLinesAgainstFile(
   }
   result.ok = true;
   return result;
+}
+
+// Writes `lines` to `path`, one per line. Returns false on I/O failure.
+bool WriteLinesToFile(const std::vector<std::string>& lines,
+                      const std::string& path) {
+  std::ofstream out(path);
+  if (!out) return false;
+  for (const std::string& line : lines) out << line << "\n";
+  return static_cast<bool>(out);
 }
 
 // "tag,i,v0,v1,..." with every double at %.17g (bit round-trip).
@@ -174,10 +185,7 @@ std::vector<std::string> GoldenPgmTraceLines() {
 }
 
 bool WriteGoldenTrace(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  for (const std::string& line : GoldenPgmTraceLines()) out << line << "\n";
-  return static_cast<bool>(out);
+  return WriteLinesToFile(GoldenPgmTraceLines(), path);
 }
 
 GoldenCompareResult CompareGoldenTrace(const std::string& path) {
@@ -231,14 +239,72 @@ std::vector<std::string> GoldenDecodeLines() {
 }
 
 bool WriteGoldenDecode(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  for (const std::string& line : GoldenDecodeLines()) out << line << "\n";
-  return static_cast<bool>(out);
+  return WriteLinesToFile(GoldenDecodeLines(), path);
 }
 
 GoldenCompareResult CompareGoldenDecode(const std::string& path) {
   return CompareLinesAgainstFile(GoldenDecodeLines(), path);
+}
+
+std::vector<std::string> GoldenDpPcaLines() {
+  // Three planted directions plus uniform noise. n = 300 is not a
+  // multiple of the Syrk row block and d = 200 is above the dense
+  // eigensolve limit, so every kernel of the high-dimensional path runs,
+  // including its ragged edges.
+  const std::size_t n = 300, d = 200, factors = 3;
+  util::Rng data_rng(4242);
+  linalg::Matrix loadings(factors, d);
+  for (std::size_t i = 0; i < loadings.size(); ++i) {
+    loadings.data()[i] = data_rng.Normal();
+  }
+  linalg::Matrix x(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = x.row_data(i);
+    for (std::size_t j = 0; j < d; ++j) row[j] = 0.1 * data_rng.Uniform();
+    for (std::size_t f = 0; f < factors; ++f) {
+      const double t = data_rng.Normal(0.0, 1.0 / (1.0 + f));
+      const double* l = loadings.row_data(f);
+      for (std::size_t j = 0; j < d; ++j) row[j] += t * l[j];
+    }
+  }
+
+  pca::DpPcaOptions options;
+  options.num_components = 4;
+  options.epsilon = 2.0;
+  util::Rng rng(977);
+  std::vector<std::string> lines;
+  lines.emplace_back(kDpPcaHeader);
+  const util::Result<pca::PcaModel> model = pca::FitDpPca(x, options, &rng);
+  if (!model.ok()) {
+    lines.push_back(std::string("error,") + model.status().message());
+    return lines;
+  }
+  const linalg::Matrix& v = model->components();
+  std::vector<double> column(v.rows());
+  for (std::size_t j = 0; j < v.cols(); ++j) {
+    for (std::size_t i = 0; i < v.rows(); ++i) column[i] = v(i, j);
+    lines.push_back(
+        FormatValueRow("component", j, column.data(), column.size()));
+  }
+  std::string variance = "variance";
+  char buf[40];
+  for (const double l : model->explained_variance()) {
+    std::snprintf(buf, sizeof(buf), ",%.17g", l);
+    variance += buf;
+  }
+  lines.push_back(variance);
+  std::snprintf(buf, sizeof(buf), "rng,%llu",
+                static_cast<unsigned long long>(rng.NextU64()));
+  lines.emplace_back(buf);
+  return lines;
+}
+
+bool WriteGoldenDpPca(const std::string& path) {
+  return WriteLinesToFile(GoldenDpPcaLines(), path);
+}
+
+GoldenCompareResult CompareGoldenDpPca(const std::string& path) {
+  return CompareLinesAgainstFile(GoldenDpPcaLines(), path);
 }
 
 }  // namespace audit

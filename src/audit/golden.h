@@ -61,6 +61,24 @@ bool WriteGoldenDecode(const std::string& path);
 /// checked-in file at `path` (normally tests/golden/decode_small.golden).
 GoldenCompareResult CompareGoldenDecode(const std::string& path);
 
+/// Golden DP-PCA fixture for the high-dimensional path: pca::FitDpPca on
+/// a fixed-seed 300 x 200 input, which is above the dense-eigensolve
+/// limit and so runs the tiled Syrk, the Bartlett Wishart product and the
+/// top-k power iteration:
+///   component,<j>,<v0>,...,<v199>   column j of the fitted projection
+///   variance,<l0>,...               the noisy explained variances
+///   rng,<u64>                       the caller's next RNG draw
+/// Every double is %.17g, so the file pins phase 1 of P3GM bit-for-bit,
+/// including how many draws the Wishart mechanism consumed.
+std::vector<std::string> GoldenDpPcaLines();
+
+/// Writes the DP-PCA fixture to `path`. Returns false on I/O failure.
+bool WriteGoldenDpPca(const std::string& path);
+
+/// Regenerates the DP-PCA fixture in-process and compares it against the
+/// checked-in file at `path` (normally tests/golden/dp_pca_d200.golden).
+GoldenCompareResult CompareGoldenDpPca(const std::string& path);
+
 }  // namespace audit
 }  // namespace p3gm
 

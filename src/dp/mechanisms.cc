@@ -6,6 +6,7 @@
 
 #include "audit/fault_injection.h"
 #include "linalg/ops.h"
+#include "obs/trace.h"
 
 namespace p3gm {
 namespace dp {
@@ -77,26 +78,31 @@ util::Result<std::size_t> ExponentialMechanism(
 
 util::Result<linalg::Matrix> SampleWishart(std::size_t d, double df, double c,
                                            util::Rng* rng) {
+  P3GM_TRACE_SPAN("dp.wishart");
   if (d == 0) {
     return util::Status::InvalidArgument("SampleWishart: dimension is zero");
   }
-  if (df <= static_cast<double>(d) - 1.0) {
+  if (!(df > static_cast<double>(d) - 1.0) || !std::isfinite(df)) {
     return util::Status::InvalidArgument(
-        "SampleWishart: df must exceed d - 1");
+        "SampleWishart: df must be finite and exceed d - 1");
   }
-  if (c <= 0.0) {
+  if (!(c > 0.0) || !std::isfinite(c)) {
     return util::Status::InvalidArgument(
-        "SampleWishart: scale must be positive");
+        "SampleWishart: scale c must be finite and positive");
   }
   // Bartlett: B = A A^T with A lower triangular, A_ii^2 ~ chi^2(df - i)
   // (0-based) and A_ij ~ N(0,1) for j < i. Then W_d(df, c I) = c * B.
+  // The factor is stored transposed, at = A^T, so that B = Syrk(at): each
+  // B_ij sums A_ip A_jp over p ascending from +0.0, exactly the dense
+  // product A A^T, while Syrk skips the blocks of zeros above the
+  // diagonal of A.
   c *= audit::NoiseScale();
-  linalg::Matrix a(d, d);
+  linalg::Matrix at(d, d);
   for (std::size_t i = 0; i < d; ++i) {
-    a(i, i) = std::sqrt(rng->ChiSquared(df - static_cast<double>(i)));
-    for (std::size_t j = 0; j < i; ++j) a(i, j) = rng->Normal();
+    at(i, i) = std::sqrt(rng->ChiSquared(df - static_cast<double>(i)));
+    for (std::size_t j = 0; j < i; ++j) at(j, i) = rng->Normal();
   }
-  linalg::Matrix w = linalg::MatmulTransB(a, a);
+  linalg::Matrix w = linalg::Syrk(at);
   w *= c;
   return w;
 }

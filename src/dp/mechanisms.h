@@ -48,7 +48,9 @@ util::Result<std::size_t> ExponentialMechanism(
 /// decomposition. Used by the DP-PCA Wishart mechanism (Jiang et al. 2016),
 /// where a noise matrix with df = d + 1 and c = 3 / (2 n epsilon) added to
 /// the covariance gives (epsilon, 0)-DP.
-/// Requires df > d - 1 and c > 0.
+/// Fails with InvalidArgument unless df and c are finite, df > d - 1 and
+/// c > 0. The result is the dense Bartlett product A A^T bit for bit,
+/// computed by linalg::Syrk on the transposed factor.
 util::Result<linalg::Matrix> SampleWishart(std::size_t d, double df, double c,
                                            util::Rng* rng);
 

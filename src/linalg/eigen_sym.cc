@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "linalg/ops.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace p3gm {
@@ -123,6 +124,9 @@ bool Tql2(Matrix* v, std::vector<double>* d, std::vector<double>* e) {
       if (std::fabs((*e)[m]) <= eps * tst1) break;
       ++m;
     }
+    // For finite input e[n - 1] stays 0 and stops the scan; a NaN there
+    // would send the sweep below past the end of d and e.
+    if (m == n) return false;
     if (m > l) {
       int iter = 0;
       do {
@@ -222,6 +226,7 @@ util::Result<EigenDecomposition> TopKEigenSym(const Matrix& a, std::size_t k,
   if (k > n) {
     return util::Status::InvalidArgument("TopKEigenSym: k exceeds dimension");
   }
+  P3GM_TRACE_SPAN("linalg.topk_eigen");
   util::Rng rng(seed);
   Matrix work = a;  // Deflated in place.
   EigenDecomposition out;
@@ -234,8 +239,10 @@ util::Result<EigenDecomposition> TopKEigenSym(const Matrix& a, std::size_t k,
     double norm = Norm2(v);
     for (double& x : v) x /= norm;
     double lambda = 0.0;
+    // w = work * v always holds at the top of a step: the product that
+    // gives the Rayleigh quotient of this step's v is the next step's w.
+    std::vector<double> w = MatVec(work, v);
     for (std::size_t it = 0; it < iters; ++it) {
-      std::vector<double> w = MatVec(work, v);
       norm = Norm2(w);
       if (norm < 1e-300) {  // Matrix is (numerically) zero after deflation.
         w.assign(n, 0.0);
@@ -243,7 +250,8 @@ util::Result<EigenDecomposition> TopKEigenSym(const Matrix& a, std::size_t k,
         norm = 1.0;
       }
       for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / norm;
-      lambda = Dot(v, MatVec(work, v));
+      w = MatVec(work, v);
+      lambda = Dot(v, w);
     }
     out.values.push_back(lambda);
     for (std::size_t i = 0; i < n; ++i) out.vectors(i, c) = v[i];

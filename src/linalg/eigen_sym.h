@@ -24,7 +24,7 @@ struct EigenDecomposition {
 ///
 /// Returns InvalidArgument for non-square input and NumericError if QL
 /// fails to converge within 50 iterations per eigenvalue (essentially
-/// impossible for finite symmetric input).
+/// impossible for finite symmetric input) or meets a NaN.
 util::Result<EigenDecomposition> EigenSym(const Matrix& a);
 
 /// Computes the top-`k` eigenpairs of the symmetric PSD matrix `a` by

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -17,6 +20,68 @@ namespace {
 // dispatch cost.
 constexpr std::size_t kGemmRowGrain = 8;
 constexpr std::size_t kRowGrain = 64;
+
+// Minimum multiply-adds per MatVec block: a 784 x 784 power-iteration
+// step splits over the pool, while the small per-sample products of the
+// synthetic generators run inline.
+constexpr std::size_t kMatVecMinWork = std::size_t{1} << 16;
+
+// Syrk blocking. kSyrkRowBlock data rows are repacked into k-major
+// panels of kSyrkTile columns; a panel (256 x 4 doubles, 8 KiB) stays in
+// L1 while a tile sweeps its row of the triangle, and a whole block of
+// 784 columns (1.6 MB) stays in L2/L3 for the sweep.
+constexpr std::size_t kSyrkTile = 4;
+constexpr std::size_t kSyrkRowBlock = 256;
+constexpr std::size_t kSyrkTileGrain = 8;
+
+// Two doubles in one SIMD register (SSE2 on x86-64, NEON on AArch64).
+// The lanes never interact, so each holds an independent output element.
+typedef double Double2 __attribute__((vector_size(16)));
+
+inline Double2 Load2(const double* p) {
+  Double2 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void Store2(Double2 v, double* p) { std::memcpy(p, &v, sizeof(v)); }
+
+// c += pi^T pj for one kSyrkTile x kSyrkTile tile over `rows` packed
+// rows: c[r][t] += pi[p][r] * pj[p][t] for p ascending, a multiply then
+// an add per term (this TU is built with -ffp-contract=off).
+void SyrkTile(const double* pi, const double* pj, std::size_t rows,
+              double c[kSyrkTile][kSyrkTile]) {
+  static_assert(kSyrkTile == 4, "SyrkTile is written out for 4 x 4 tiles");
+  Double2 c00 = Load2(&c[0][0]), c01 = Load2(&c[0][2]);
+  Double2 c10 = Load2(&c[1][0]), c11 = Load2(&c[1][2]);
+  Double2 c20 = Load2(&c[2][0]), c21 = Load2(&c[2][2]);
+  Double2 c30 = Load2(&c[3][0]), c31 = Load2(&c[3][2]);
+  for (std::size_t p = 0; p < rows; ++p) {
+    const double* a = pi + p * kSyrkTile;
+    const Double2 b0 = Load2(pj + p * kSyrkTile);
+    const Double2 b1 = Load2(pj + p * kSyrkTile + 2);
+    const Double2 a0 = {a[0], a[0]};
+    const Double2 a1 = {a[1], a[1]};
+    const Double2 a2 = {a[2], a[2]};
+    const Double2 a3 = {a[3], a[3]};
+    c00 += a0 * b0;
+    c01 += a0 * b1;
+    c10 += a1 * b0;
+    c11 += a1 * b1;
+    c20 += a2 * b0;
+    c21 += a2 * b1;
+    c30 += a3 * b0;
+    c31 += a3 * b1;
+  }
+  Store2(c00, &c[0][0]);
+  Store2(c01, &c[0][2]);
+  Store2(c10, &c[1][0]);
+  Store2(c11, &c[1][2]);
+  Store2(c20, &c[2][0]);
+  Store2(c21, &c[2][2]);
+  Store2(c30, &c[3][0]);
+  Store2(c31, &c[3][2]);
+}
 
 }  // namespace
 
@@ -88,13 +153,39 @@ Matrix MatmulTransB(const Matrix& a, const Matrix& b) {
 
 std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x) {
   P3GM_CHECK(a.cols() == x.size());
+  const std::size_t k = a.cols();
   std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_data(i);
-    double s = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) s += arow[j] * x[j];
-    y[i] = s;
-  }
+  // Each y[i] is one serial chain over j ascending. Rows are independent,
+  // so any split over the pool is bit-identical; four rows per pass give
+  // four independent add chains.
+  const std::size_t grain = std::max<std::size_t>(1, kMatVecMinWork / (k + 1));
+  util::ParallelFor(0, a.rows(), grain, [&](std::size_t rb, std::size_t re) {
+    std::size_t i = rb;
+    for (; i + 4 <= re; i += 4) {
+      const double* r0 = a.row_data(i);
+      const double* r1 = a.row_data(i + 1);
+      const double* r2 = a.row_data(i + 2);
+      const double* r3 = a.row_data(i + 3);
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (std::size_t j = 0; j < k; ++j) {
+        const double xj = x[j];
+        s0 += r0[j] * xj;
+        s1 += r1[j] * xj;
+        s2 += r2[j] * xj;
+        s3 += r3[j] * xj;
+      }
+      y[i] = s0;
+      y[i + 1] = s1;
+      y[i + 2] = s2;
+      y[i + 3] = s3;
+    }
+    for (; i < re; ++i) {
+      const double* arow = a.row_data(i);
+      double s = 0.0;
+      for (std::size_t j = 0; j < k; ++j) s += arow[j] * x[j];
+      y[i] = s;
+    }
+  });
   return y;
 }
 
@@ -198,23 +289,65 @@ void ScaleRows(const std::vector<double>& s, Matrix* m) {
 Matrix Syrk(const Matrix& a) {
   P3GM_TRACE_SPAN("linalg.syrk");
   const std::size_t n = a.cols();
+  const std::size_t panels = (n + kSyrkTile - 1) / kSyrkTile;
   Matrix c(n, n);
-  // Parallel over disjoint blocks of output rows; inside a block the
-  // accumulation over data rows p is the serial ascending order, so the
-  // result matches the single-threaded kernel bit-for-bit. Row blocks of
-  // the upper triangle shrink with i, so use a small grain to keep the
-  // static assignment roughly balanced.
-  util::ParallelFor(0, n, 4, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t p = 0; p < a.rows(); ++p) {
-      const double* row = a.row_data(p);
-      for (std::size_t i = rb; i < re; ++i) {
-        const double av = row[i];
-        if (av == 0.0) continue;
-        double* crow = c.row_data(i);
-        for (std::size_t j = i; j < n; ++j) crow[j] += av * row[j];
+  // Panel t of a block holds columns [t * kSyrkTile, (t + 1) * kSyrkTile)
+  // of its rows, k-major. Columns past n stay +0.0 padding; they only
+  // reach tile entries that are never copied out.
+  std::vector<double> packed(panels * kSyrkRowBlock * kSyrkTile, 0.0);
+  std::vector<char> nonzero(panels);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> tiles;
+  tiles.reserve(panels * (panels + 1) / 2);
+  for (std::size_t p0 = 0; p0 < a.rows(); p0 += kSyrkRowBlock) {
+    const std::size_t rows = std::min(kSyrkRowBlock, a.rows() - p0);
+    std::fill(nonzero.begin(), nonzero.end(), 0);
+    for (std::size_t p = 0; p < rows; ++p) {
+      const double* src = a.row_data(p0 + p);
+      for (std::size_t j = 0; j < n; ++j) {
+        packed[((j / kSyrkTile) * kSyrkRowBlock + p) * kSyrkTile +
+               j % kSyrkTile] = src[j];
+        nonzero[j / kSyrkTile] |= src[j] != 0.0;
       }
     }
-  });
+    // The upper-triangle tiles (I <= J) of this block in row-major order,
+    // leaving out those whose panel I or J is all zeros: they would only
+    // add +-0.0. Every listed tile costs the same, so ParallelFor's equal
+    // contiguous split gives each worker an equal share of the work.
+    tiles.clear();
+    for (std::size_t ti = 0; ti < panels; ++ti) {
+      if (!nonzero[ti]) continue;
+      for (std::size_t tj = ti; tj < panels; ++tj) {
+        if (nonzero[tj]) {
+          tiles.emplace_back(static_cast<std::uint32_t>(ti),
+                             static_cast<std::uint32_t>(tj));
+        }
+      }
+    }
+    // Each tile carries its partial sums in c from block to block, so
+    // every element still sums over all data rows in ascending order.
+    util::ParallelFor(
+        0, tiles.size(), kSyrkTileGrain, [&](std::size_t tb, std::size_t te) {
+          double acc[kSyrkTile][kSyrkTile];
+          for (std::size_t t = tb; t < te; ++t) {
+            const std::size_t i0 = tiles[t].first * kSyrkTile;
+            const std::size_t j0 = tiles[t].second * kSyrkTile;
+            const std::size_t ni = std::min(kSyrkTile, n - i0);
+            const std::size_t nj = std::min(kSyrkTile, n - j0);
+            for (std::size_t r = 0; r < kSyrkTile; ++r) {
+              for (std::size_t s = 0; s < kSyrkTile; ++s) {
+                acc[r][s] = r < ni && s < nj ? c(i0 + r, j0 + s) : 0.0;
+              }
+            }
+            SyrkTile(&packed[i0 * kSyrkRowBlock], &packed[j0 * kSyrkRowBlock],
+                     rows, acc);
+            for (std::size_t r = 0; r < ni; ++r) {
+              for (std::size_t s = 0; s < nj; ++s) {
+                c(i0 + r, j0 + s) = acc[r][s];
+              }
+            }
+          }
+        });
+  }
   // Mirror the upper triangle. Each worker writes a disjoint block of
   // rows of the lower triangle.
   util::ParallelFor(0, n, kRowGrain, [&](std::size_t rb, std::size_t re) {

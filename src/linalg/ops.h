@@ -12,7 +12,7 @@ namespace linalg {
 /// shape mismatches are programming errors and abort via P3GM_CHECK; these
 /// functions sit on hot paths and deliberately do not return Status.
 ///
-/// The batch-shaped kernels (gemm variants, Syrk, RowSquaredNorms,
+/// The batch-shaped kernels (gemm variants, Syrk, MatVec, RowSquaredNorms,
 /// ScaleRows, AddRowVector, MaxAbsDiff) run on the util::ParallelFor
 /// thread pool, blocked over rows with each worker writing a disjoint
 /// output slice. Results are bit-identical for any thread count,
@@ -27,7 +27,8 @@ Matrix MatmulTransA(const Matrix& a, const Matrix& b);
 /// C = A * B^T, with A (m x k) and B (n x k). Avoids materializing B^T.
 Matrix MatmulTransB(const Matrix& a, const Matrix& b);
 
-/// y = A * x.
+/// y = A * x. Each y_i sums over j in ascending order from +0.0; rows are
+/// split over the pool when the product is large enough to pay for it.
 std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x);
 
 /// y = A^T * x.
@@ -65,6 +66,19 @@ std::vector<double> RowSquaredNorms(const Matrix& m);
 void ScaleRows(const std::vector<double>& s, Matrix* m);
 
 /// Symmetric rank-k: returns A^T A (cols x cols), exploiting symmetry.
+/// Each element C_ij = sum_p A_pi A_pj runs over the data rows p in
+/// ascending order from +0.0, a multiply then an add per term, so for
+/// finite input the result is bit-equal to Matmul(A^T, A) at any thread
+/// count. Rows are processed in L2-sized blocks; 4 x 4 register tiles of
+/// the upper triangle are dealt evenly over the pool and carry their
+/// partial sums from block to block.
+///
+/// Zero terms are skipped differently from Matmul: per block, a tile
+/// whose rows are all zero in one of its two 4-column panels is skipped
+/// (so a triangular A costs about a third of a dense one), and no single
+/// zero term is. For finite input either choice is bit-neutral: adding
+/// +-0.0 to a sum that started at +0.0 never changes it. With inf or NaN
+/// in A the two kernels may disagree.
 Matrix Syrk(const Matrix& a);
 
 /// Max absolute difference between equally shaped matrices.

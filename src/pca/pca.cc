@@ -104,9 +104,9 @@ util::Result<PcaModel> FitDpPca(const linalg::Matrix& x,
     return util::Status::InvalidArgument(
         "FitDpPca: num_components must be in [1, d]");
   }
-  if (options.epsilon <= 0.0) {
+  if (!(options.epsilon > 0.0) || !std::isfinite(options.epsilon)) {
     return util::Status::InvalidArgument(
-        "FitDpPca: epsilon must be positive");
+        "FitDpPca: epsilon must be finite and positive");
   }
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();

@@ -2,6 +2,7 @@
 
 #include "gtest/gtest.h"
 #include "audit/golden.h"
+#include "util/thread_pool.h"
 
 namespace p3gm {
 namespace audit {
@@ -40,6 +41,29 @@ TEST(GoldenTraceTest, MismatchIsReportedWithRegenHint) {
   const GoldenCompareResult r = CompareGoldenTrace("/nonexistent/file");
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.message.find("regen_golden"), std::string::npos);
+}
+
+TEST(DpPcaGoldenTest, FixtureHasExpectedShape) {
+  const std::vector<std::string> lines = GoldenDpPcaLines();
+  // Header + 4 components + variance + rng.
+  ASSERT_EQ(lines.size(), 7u);
+  EXPECT_EQ(lines[0], "# p3gm golden dp-pca v1");
+  for (std::size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(lines[1 + j].rfind("component,", 0), 0u) << lines[1 + j];
+  }
+  EXPECT_EQ(lines[5].rfind("variance,", 0), 0u) << lines[5];
+  EXPECT_EQ(lines[6].rfind("rng,", 0), 0u) << lines[6];
+}
+
+TEST(DpPcaGoldenTest, MatchesCheckedInGoldenAtAnyThreadCount) {
+  const std::string path =
+      std::string(P3GM_GOLDEN_DIR) + "/dp_pca_d200.golden";
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    util::SetNumThreads(threads);
+    const GoldenCompareResult r = CompareGoldenDpPca(path);
+    EXPECT_TRUE(r.ok) << threads << " threads: " << r.message;
+  }
+  util::SetNumThreads(0);
 }
 
 }  // namespace

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "dp/mechanisms.h"
@@ -152,9 +155,65 @@ TEST(ExponentialMechanismTest, HandlesExtremeUtilityGaps) {
 
 TEST(WishartTest, ValidatesArguments) {
   util::Rng rng(41);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(SampleWishart(0, 3, 1.0, &rng).ok());
   EXPECT_FALSE(SampleWishart(3, 1.5, 1.0, &rng).ok());  // df <= d-1.
   EXPECT_FALSE(SampleWishart(3, 4, 0.0, &rng).ok());
+  // Non-finite parameters are rejected, each naming the parameter.
+  for (const double df : {nan, inf, -inf}) {
+    const auto w = SampleWishart(3, df, 1.0, &rng);
+    ASSERT_FALSE(w.ok()) << df;
+    EXPECT_EQ(w.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(w.status().message().find("df"), std::string::npos);
+  }
+  for (const double c : {nan, inf, -inf}) {
+    const auto w = SampleWishart(3, 4, c, &rng);
+    ASSERT_FALSE(w.ok()) << c;
+    EXPECT_EQ(w.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(w.status().message().find("scale c"), std::string::npos);
+  }
+}
+
+// The Bartlett draws of SampleWishart, in its order, multiplied out as
+// the dense product A A^T: every p of every element, ascending from
+// +0.0. SampleWishart must reproduce it bit for bit and consume exactly
+// the same draws.
+linalg::Matrix DenseBartlettWishart(std::size_t d, double df, double c,
+                                    util::Rng* rng) {
+  linalg::Matrix a(d, d);
+  for (std::size_t i = 0; i < d; ++i) {
+    a(i, i) = std::sqrt(rng->ChiSquared(df - static_cast<double>(i)));
+    for (std::size_t j = 0; j < i; ++j) a(i, j) = rng->Normal();
+  }
+  linalg::Matrix w(d, d);
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      double s = 0.0;
+      for (std::size_t p = 0; p < d; ++p) s += a(i, p) * a(j, p);
+      w(i, j) = s;
+    }
+  }
+  w *= c;
+  return w;
+}
+
+TEST(WishartTest, MatchesDenseBartlettProductExactly) {
+  // Sizes around Syrk's 4-wide tile and its 256-row block: below, at and
+  // past each, so the all-zero tiles above the factor's diagonal are
+  // skipped in the first block and later ones.
+  for (const std::size_t d :
+       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u, 64u, 101u, 256u, 257u, 300u}) {
+    const double df = static_cast<double>(d) + 1.0, c = 0.37;
+    util::Rng got_rng(500 + d), want_rng(500 + d);
+    const auto got = SampleWishart(d, df, c, &got_rng);
+    ASSERT_TRUE(got.ok());
+    const linalg::Matrix want = DenseBartlettWishart(d, df, c, &want_rng);
+    EXPECT_EQ(
+        std::memcmp(got->data(), want.data(), want.size() * sizeof(double)), 0)
+        << "d = " << d;
+    EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64()) << "d = " << d;
+  }
 }
 
 TEST(WishartTest, SamplesAreSymmetricPsd) {

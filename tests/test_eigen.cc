@@ -1,4 +1,9 @@
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "linalg/eigen_sym.h"
@@ -49,6 +54,22 @@ TEST(EigenSymTest, KnownTwoByTwo) {
 
 TEST(EigenSymTest, RejectsNonSquare) {
   EXPECT_FALSE(EigenSym(Matrix(2, 3)).ok());
+}
+
+TEST(EigenSymTest, NaNInputIsANumericError) {
+  // A NaN must not walk the QL sweep past the end of its work vectors;
+  // PCA passes on whatever covariance its data gives.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t n : {2u, 3u, 9u}) {
+    Matrix all_nan(n, n, nan);
+    Matrix one_nan = Matrix::Identity(n);
+    one_nan(0, n - 1) = one_nan(n - 1, 0) = nan;
+    for (const Matrix* a : {&all_nan, &one_nan}) {
+      const auto e = EigenSym(*a);
+      ASSERT_FALSE(e.ok()) << n;
+      EXPECT_EQ(e.status().code(), util::StatusCode::kNumericError) << n;
+    }
+  }
 }
 
 TEST(EigenSymTest, HandlesSizeOneAndZero) {
@@ -120,6 +141,92 @@ TEST(TopKEigenSymTest, MatchesDenseOnLeadingPairs) {
       dot += dense->vectors(i, j) * topk->vectors(i, j);
     }
     EXPECT_NEAR(std::fabs(dot), 1.0, 1e-4);
+  }
+}
+
+// Reference power iteration with two products per step, one to advance
+// v and one for its Rayleigh quotient, each a serial chain per row.
+// TopKEigenSym must reproduce it bit for bit.
+std::vector<double> SerialMatVec(const Matrix& a,
+                                 const std::vector<double>& x) {
+  std::vector<double> y(a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double s = 0.0;
+    for (std::size_t j = 0; j < a.cols(); ++j) s += a(i, j) * x[j];
+    y[i] = s;
+  }
+  return y;
+}
+
+EigenDecomposition TwoMatVecTopK(const Matrix& a, std::size_t k,
+                                 std::size_t iters, std::uint64_t seed) {
+  const std::size_t n = a.rows();
+  util::Rng rng(seed);
+  Matrix work = a;
+  EigenDecomposition out;
+  out.vectors = Matrix(n, k);
+  for (std::size_t c = 0; c < k; ++c) {
+    std::vector<double> v(n);
+    for (double& x : v) x = rng.Normal();
+    double norm = Norm2(v);
+    for (double& x : v) x /= norm;
+    double lambda = 0.0;
+    for (std::size_t it = 0; it < iters; ++it) {
+      std::vector<double> w = SerialMatVec(work, v);
+      norm = Norm2(w);
+      if (norm < 1e-300) {
+        w.assign(n, 0.0);
+        w[c % n] = 1.0;
+        norm = 1.0;
+      }
+      for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / norm;
+      lambda = Dot(v, SerialMatVec(work, v));
+    }
+    out.values.push_back(lambda);
+    for (std::size_t i = 0; i < n; ++i) out.vectors(i, c) = v[i];
+    for (std::size_t i = 0; i < n; ++i) {
+      const double vi = lambda * v[i];
+      for (std::size_t j = 0; j < n; ++j) work(i, j) -= vi * v[j];
+    }
+  }
+  return out;
+}
+
+TEST(TopKEigenSymTest, MatchesTwoMatVecIterationExactly) {
+  // 301 rows split over the pool inside MatVec; 5 and 37 run inline with
+  // a ragged tail after the four-row passes; the rank-2 matrix deflates
+  // to zero and takes the fallback direction; iters = 0 and 1 are the
+  // loop's edges.
+  util::Rng rng(23);
+  Matrix b(2, 9);
+  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.Normal();
+  struct Case {
+    Matrix a;
+    std::size_t k, iters;
+  };
+  const Case cases[] = {{RandomSymmetric(5, &rng), 3, 40},
+                        {RandomSymmetric(37, &rng), 4, 25},
+                        {RandomSymmetric(301, &rng), 2, 12},
+                        {MatmulTransA(b, b), 4, 30},
+                        {Matrix(6, 6), 2, 5},
+                        {RandomSymmetric(8, &rng), 2, 0},
+                        {RandomSymmetric(8, &rng), 2, 1}};
+  for (const Case& c : cases) {
+    const auto got = TopKEigenSym(c.a, c.k, c.iters, 99);
+    ASSERT_TRUE(got.ok());
+    const EigenDecomposition want = TwoMatVecTopK(c.a, c.k, c.iters, 99);
+    const std::string what = std::to_string(c.a.rows()) + " rows, k " +
+                             std::to_string(c.k) + ", iters " +
+                             std::to_string(c.iters);
+    ASSERT_EQ(got->values.size(), want.values.size()) << what;
+    EXPECT_EQ(std::memcmp(got->values.data(), want.values.data(),
+                          want.values.size() * sizeof(double)),
+              0)
+        << what;
+    EXPECT_EQ(std::memcmp(got->vectors.data(), want.vectors.data(),
+                          want.vectors.size() * sizeof(double)),
+              0)
+        << what;
   }
 }
 

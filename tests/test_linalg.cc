@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -157,14 +159,29 @@ TEST(OpsTest, TransposeVariantsAgreeWithExplicitTranspose) {
 }
 
 TEST(OpsTest, MatVecMatchesMatmul) {
+  // Exactly one serial chain per row, j ascending from +0.0. 603 x 603 is
+  // large enough to split over the pool; the other shapes run inline and
+  // leave a ragged tail after the four-row passes.
+  const std::size_t shapes[][2] = {{3, 4},  {1, 1},   {3, 5},
+                                   {7, 1},  {13, 40}, {603, 603}};
   util::Rng rng(7);
-  Matrix a = RandomMatrix(3, 4, &rng);
-  std::vector<double> x = {1, -2, 0.5, 3};
-  std::vector<double> y = MatVec(a, x);
-  for (std::size_t i = 0; i < 3; ++i) {
-    double expect = 0;
-    for (std::size_t j = 0; j < 4; ++j) expect += a(i, j) * x[j];
-    EXPECT_NEAR(y[i], expect, 1e-12);
+  for (const auto& shape : shapes) {
+    const Matrix a = RandomMatrix(shape[0], shape[1], &rng);
+    std::vector<double> x(shape[1]);
+    for (double& v : x) v = rng.Normal();
+    x[0] = -0.0;
+    std::vector<double> want(a.rows());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      double s = 0.0;
+      for (std::size_t j = 0; j < a.cols(); ++j) s += a(i, j) * x[j];
+      want[i] = s;
+    }
+    const std::vector<double> got = MatVec(a, x);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << shape[0] << "x" << shape[1];
   }
 }
 
@@ -225,9 +242,39 @@ TEST(OpsTest, ScaleRows) {
 }
 
 TEST(OpsTest, SyrkMatchesExplicit) {
+  // Syrk sums each element over the data rows in ascending order, exactly
+  // like Matmul(A^T, A). The shapes cross every edge of its blocking:
+  // a width that is not a multiple of the 4-wide tile, row counts below,
+  // at and across the 256-row block, and a single column.
+  const std::size_t shapes[][2] = {{6, 4},   {1, 5},    {3, 1},
+                                   {255, 9}, {256, 8},  {257, 3},
+                                   {300, 7}, {600, 1},  {513, 13},
+                                   {777, 30}};
   util::Rng rng(11);
-  Matrix a = RandomMatrix(6, 4, &rng);
-  EXPECT_LT(MaxAbsDiff(Syrk(a), Matmul(a.Transposed(), a)), 1e-12);
+  for (const auto& shape : shapes) {
+    Matrix a = RandomMatrix(shape[0], shape[1], &rng);
+    // Planted signed zeros: scattered entries, a whole row, and columns
+    // 4-7 over the first row block, whose tiles Syrk then skips there.
+    for (std::size_t i = 0; i < a.rows(); i += 5) a(i, 0) = 0.0;
+    for (std::size_t i = 2; i < a.rows(); i += 7) {
+      a(i, a.cols() - 1) = -0.0;
+    }
+    if (a.rows() > 10) {
+      for (std::size_t j = 0; j < a.cols(); ++j) a(10, j) = -0.0;
+    }
+    for (std::size_t i = 0; i < std::min<std::size_t>(a.rows(), 256); ++i) {
+      for (std::size_t j = 4; j < std::min<std::size_t>(a.cols(), 8); ++j) {
+        a(i, j) = i % 2 ? 0.0 : -0.0;
+      }
+    }
+    const Matrix got = Syrk(a);
+    const Matrix want = Matmul(a.Transposed(), a);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << shape[0] << "x" << shape[1];
+  }
 }
 
 // -------------------------------------------------------------- Cholesky

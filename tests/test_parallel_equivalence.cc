@@ -5,11 +5,14 @@
 // and no shared RNG inside parallel regions.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "core/pgm.h"
+#include "dp/mechanisms.h"
 #include "linalg/covariance.h"
+#include "linalg/eigen_sym.h"
 #include "obs/ledger.h"
 #include "obs/observability.h"
 #include "obs/registry.h"
@@ -110,6 +113,37 @@ TEST(ParallelEquivalenceTest, SyrkAndCovariance) {
   ExpectThreadInvariant([&] { return linalg::Syrk(x); }, "Syrk");
   ExpectThreadInvariant([&] { return linalg::Covariance(x); },
                         "Covariance");
+  // Ragged in both directions: 530 rows are two full row blocks plus a
+  // tail, and 51 columns end in a partial tile.
+  const linalg::Matrix ragged = RandomMatrix(530, 51, 13);
+  ExpectThreadInvariant([&] { return linalg::Syrk(ragged); }, "Syrk ragged");
+}
+
+TEST(ParallelEquivalenceTest, MatVecAndTopKEigenSym) {
+  // 603 rows split into several MatVec blocks, each with a ragged tail
+  // after its four-row passes.
+  const linalg::Matrix b = RandomMatrix(603, 40, 14);
+  const linalg::Matrix a = linalg::MatmulTransB(b, b);
+  const std::vector<double> x = RandomMatrix(1, 603, 15).Row(0);
+  ExpectThreadInvariant([&] { return linalg::MatVec(a, x); }, "MatVec");
+  ExpectThreadInvariant(
+      [&] {
+        auto e = linalg::TopKEigenSym(a, 3, 15, 5);
+        EXPECT_TRUE(e.ok());
+        return std::make_pair(e->values, e->vectors);
+      },
+      "TopKEigenSym");
+}
+
+TEST(ParallelEquivalenceTest, SampleWishart) {
+  ExpectThreadInvariant(
+      [] {
+        util::Rng rng(16);
+        auto w = dp::SampleWishart(97, 98.0, 0.25, &rng);
+        EXPECT_TRUE(w.ok());
+        return std::make_pair(*w, rng.NextU64());
+      },
+      "SampleWishart");
 }
 
 TEST(ParallelEquivalenceTest, MaxAbsDiff) {

@@ -1,6 +1,9 @@
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "gtest/gtest.h"
+#include "dp/accountant.h"
 #include "linalg/ops.h"
 #include "pca/pca.h"
 #include "util/rng.h"
@@ -123,6 +126,24 @@ TEST(DpPcaTest, ValidatesInput) {
   opt.epsilon = 1.0;
   opt.num_components = 9;
   EXPECT_FALSE(FitDpPca(linalg::Matrix(5, 3, 0.1), opt, &rng).ok());
+  // Non-finite budgets are rejected up front, naming epsilon, with and
+  // without a live accountant (which must not be charged).
+  opt.num_components = 2;
+  dp::RdpAccountant accountant;
+  for (dp::RdpAccountant* acc : {static_cast<dp::RdpAccountant*>(nullptr),
+                                 &accountant}) {
+    opt.accountant = acc;
+    for (const double eps : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      opt.epsilon = eps;
+      const auto model = FitDpPca(linalg::Matrix(5, 3, 0.1), opt, &rng);
+      ASSERT_FALSE(model.ok()) << eps;
+      EXPECT_EQ(model.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(model.status().message().find("epsilon"), std::string::npos)
+          << model.status().message();
+    }
+  }
+  for (const double rdp : accountant.rdp()) EXPECT_EQ(rdp, 0.0);
 }
 
 TEST(DpPcaTest, LargeEpsilonApproachesExactPca) {

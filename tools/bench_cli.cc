@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/release.h"
@@ -255,9 +256,15 @@ std::vector<MicroBench> BuildSuite(bool smoke) {
     });
   }
 
-  {
-    const std::size_t rows = smoke ? 200 : 1000;
-    const std::size_t cols = smoke ? 16 : 64;
+  // The first DP-PCA shape takes the dense eigensolve; the second has
+  // d = 256, above pca's dense limit of 160 in smoke mode too, and times
+  // the path image-sized data takes: the blocked Syrk, the Bartlett
+  // product and the top-k power iteration.
+  using Shape = std::pair<std::size_t, std::size_t>;
+  for (const Shape& shape : smoke ? std::vector<Shape>{{200, 16}, {300, 256}}
+                                  : std::vector<Shape>{{1000, 64},
+                                                       {2000, 256}}) {
+    const std::size_t rows = shape.first, cols = shape.second;
     add("dp_pca." + std::to_string(rows) + "x" + std::to_string(cols),
         [rows, cols]() {
           auto x = std::make_shared<Matrix>(RandomMatrix(rows, cols, 13));
