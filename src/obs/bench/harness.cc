@@ -1,6 +1,5 @@
 #include "obs/bench/harness.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -26,12 +25,6 @@ namespace obs {
 namespace bench {
 
 namespace {
-
-std::string FormatValue(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 int EnvInt(const char* name, int fallback) {
   const char* env = std::getenv(name);
@@ -192,8 +185,9 @@ std::string BenchSuite::ToJson() const {
   out +=
       "    \"cxx_flags\": \"" + json::Escape(runinfo_.cxx_flags) + "\",\n";
   out += "    \"threads\": " + std::to_string(runinfo_.threads) + ",\n";
-  out += "    \"wall_seconds\": " + FormatValue(runinfo_.wall_seconds) +
-         ",\n";
+  out += "    \"wall_seconds\": ";
+  json::AppendNumber(&out, runinfo_.wall_seconds);
+  out += ",\n";
   out += std::string("    \"hw_counters\": ") +
          (runinfo_.hw_counters ? "true" : "false") + ",\n";
   out += std::string("    \"alloc_tracking\": ") +
@@ -208,19 +202,23 @@ std::string BenchSuite::ToJson() const {
     out += "     \"samples_seconds\": [";
     for (std::size_t i = 0; i < r.samples_seconds.size(); ++i) {
       if (i > 0) out += ", ";
-      out += FormatValue(r.samples_seconds[i]);
+      json::AppendNumber(&out, r.samples_seconds[i]);
     }
     out += "],\n";
     const SampleStats& s = r.stats;
     out += "     \"stats\": {\"n\": " + std::to_string(s.n) +
-           ", \"rejected\": " + std::to_string(s.rejected) +
-           ", \"min\": " + FormatValue(s.min) +
-           ", \"max\": " + FormatValue(s.max) +
-           ", \"mean\": " + FormatValue(s.mean) +
-           ", \"median\": " + FormatValue(s.median) +
-           ", \"mad\": " + FormatValue(s.mad) +
-           ", \"ci95_lo\": " + FormatValue(s.ci95_lo) +
-           ", \"ci95_hi\": " + FormatValue(s.ci95_hi) + "},\n";
+           ", \"rejected\": " + std::to_string(s.rejected);
+    const std::pair<const char*, double> stats[] = {
+        {"min", s.min},       {"max", s.max},         {"mean", s.mean},
+        {"median", s.median}, {"mad", s.mad},         {"ci95_lo", s.ci95_lo},
+        {"ci95_hi", s.ci95_hi}};
+    for (const auto& [key, v] : stats) {
+      out += ", \"";
+      out += key;
+      out += "\": ";
+      json::AppendNumber(&out, v);
+    }
+    out += "},\n";
     const perf::PerfSample& c = r.counters;
     out += std::string("     \"counters\": {\"hw_available\": ") +
            (c.hw_available ? "true" : "false");
@@ -230,9 +228,11 @@ std::string BenchSuite::ToJson() const {
              ", \"cache_misses\": " + std::to_string(c.cache_misses) +
              ", \"branch_misses\": " + std::to_string(c.branch_misses);
     }
-    out += ", \"user_seconds\": " + FormatValue(c.user_seconds) +
-           ", \"sys_seconds\": " + FormatValue(c.sys_seconds) +
-           ", \"minor_faults\": " + std::to_string(c.minor_faults) +
+    out += ", \"user_seconds\": ";
+    json::AppendNumber(&out, c.user_seconds);
+    out += ", \"sys_seconds\": ";
+    json::AppendNumber(&out, c.sys_seconds);
+    out += ", \"minor_faults\": " + std::to_string(c.minor_faults) +
            ", \"major_faults\": " + std::to_string(c.major_faults) +
            ", \"max_rss_kb\": " + std::to_string(c.max_rss_kb) + "},\n";
     const perf::AllocStats& a = r.alloc;

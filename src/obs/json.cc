@@ -1,12 +1,24 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 namespace p3gm {
 namespace obs {
 namespace json {
+
+void AppendNumber(std::string* out, double v) {
+  // 32 bytes always fit: the longest %.17g text is kMaxNumberChars (24)
+  // characters, -2.2250738585072014e-308. Precision-17 general format
+  // is specified as printf's %.17g; shortest round-trip would differ.
+  char buf[32];
+  static_assert(sizeof buf >= kMaxNumberChars);
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
+}
 
 std::string Escape(const std::string& s) {
   std::string out;

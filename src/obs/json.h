@@ -22,6 +22,17 @@ namespace json {
 /// common \n \t \r \b \f short forms).
 std::string Escape(const std::string& s);
 
+/// The longest text AppendNumber writes: sign, 17 digits, '.' and a
+/// three-digit exponent, as in -2.2250738585072014e-308.
+inline constexpr std::size_t kMaxNumberChars = 24;
+
+/// Appends `v` to `*out` exactly as printf("%.17g") writes it in the C
+/// locale: 17 significant digits, so every double round-trips, and '.'
+/// as the decimal point whatever the process locale. Non-finite values
+/// come out as printf's "inf", "-inf", "nan" and "-nan". Every obs
+/// exporter and the /v1/sample encoder format their doubles here.
+void AppendNumber(std::string* out, double v);
+
 /// Parsed JSON value. A tagged aggregate rather than a class hierarchy:
 /// the schema-reading code pattern-matches on `kind` and the Find/At
 /// helpers, and invalid accesses just see the zero value of the field.

@@ -1,7 +1,9 @@
 #include "obs/ledger.h"
 
-#include <cstdio>
 #include <fstream>
+#include <utility>
+
+#include "obs/json.h"
 
 namespace p3gm {
 namespace obs {
@@ -9,12 +11,6 @@ namespace obs {
 namespace {
 
 thread_local const char* t_phase = nullptr;
-
-std::string FormatValue(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::trunc);
@@ -85,10 +81,13 @@ std::string PrivacyLedger::ToCsv() const {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const LedgerEntry& e = entries_[i];
     out += std::to_string(i) + "," + std::to_string(e.run) + "," + e.phase +
-           "," + e.mechanism + "," + std::to_string(e.count) + "," +
-           FormatValue(e.sigma) + "," + FormatValue(e.sampling_rate) + "," +
-           FormatValue(e.pure_eps) + "," + FormatValue(e.cumulative_epsilon) +
-           "," + FormatValue(e.best_order) + "," + FormatValue(e.delta) + "\n";
+           "," + e.mechanism + "," + std::to_string(e.count);
+    for (const double v : {e.sigma, e.sampling_rate, e.pure_eps,
+                           e.cumulative_epsilon, e.best_order, e.delta}) {
+      out += ',';
+      json::AppendNumber(&out, v);
+    }
+    out += '\n';
   }
   return out;
 }
@@ -103,21 +102,29 @@ std::string PrivacyLedger::ToJson() const {
            ", \"run\": " + std::to_string(e.run) + ", \"phase\": \"" +
            JsonEscape(e.phase) + "\", \"mechanism\": \"" +
            JsonEscape(e.mechanism) +
-           "\", \"count\": " + std::to_string(e.count) +
-           ", \"sigma\": " + FormatValue(e.sigma) +
-           ", \"sampling_rate\": " + FormatValue(e.sampling_rate) +
-           ", \"pure_eps\": " + FormatValue(e.pure_eps) +
-           ", \"cumulative_epsilon\": " + FormatValue(e.cumulative_epsilon) +
-           ", \"best_order\": " + FormatValue(e.best_order) +
-           ", \"delta\": " + FormatValue(e.delta) + ", \"rdp_orders\": [";
+           "\", \"count\": " + std::to_string(e.count);
+    const std::pair<const char*, double> fields[] = {
+        {"sigma", e.sigma},
+        {"sampling_rate", e.sampling_rate},
+        {"pure_eps", e.pure_eps},
+        {"cumulative_epsilon", e.cumulative_epsilon},
+        {"best_order", e.best_order},
+        {"delta", e.delta}};
+    for (const auto& [key, v] : fields) {
+      out += ", \"";
+      out += key;
+      out += "\": ";
+      json::AppendNumber(&out, v);
+    }
+    out += ", \"rdp_orders\": [";
     for (std::size_t j = 0; j < e.rdp_orders.size(); ++j) {
       if (j > 0) out += ", ";
-      out += FormatValue(e.rdp_orders[j]);
+      json::AppendNumber(&out, e.rdp_orders[j]);
     }
     out += "], \"rdp_cost\": [";
     for (std::size_t j = 0; j < e.rdp_cost.size(); ++j) {
       if (j > 0) out += ", ";
-      out += FormatValue(e.rdp_cost[j]);
+      json::AppendNumber(&out, e.rdp_cost[j]);
     }
     out += "]}";
   }

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <map>
 
+#include "obs/json.h"
+
 namespace p3gm {
 namespace obs {
 
@@ -21,12 +23,6 @@ void SplitName(const std::string& name, std::string* base,
   }
   *base = name.substr(0, brace);
   *labels = name.substr(brace + 1, name.size() - brace - 2);
-}
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 std::string FormatBound(double v) {
@@ -139,7 +135,7 @@ std::string ToPrometheusText(const Snapshot& snapshot) {
     for (const auto& entry : group.second) {
       out += SeriesRef(group.first, entry.first);
       out += ' ';
-      out += FormatDouble(entry.second->value);
+      json::AppendNumber(&out, entry.second->value);
       out += '\n';
     }
   }
@@ -166,7 +162,7 @@ std::string ToPrometheusText(const Snapshot& snapshot) {
       out += buf;
       out += SeriesRef(group.first + "_sum", entry.first);
       out += ' ';
-      out += FormatDouble(h.sum);
+      json::AppendNumber(&out, h.sum);
       out += '\n';
       out += SeriesRef(group.first + "_count", entry.first);
       std::snprintf(buf, sizeof buf, " %llu\n",

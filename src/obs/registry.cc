@@ -1,7 +1,6 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 
@@ -17,17 +16,6 @@ void AtomicAddDouble(std::atomic<double>* a, double v) {
   double cur = a->load(std::memory_order_relaxed);
   while (!a->compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
-}
-
-// Shortest round-trippable formatting for JSON/CSV values.
-std::string FormatValue(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string FormatValue(std::uint64_t v) {
-  return std::to_string(v);
 }
 
 }  // namespace
@@ -153,7 +141,7 @@ std::string Snapshot::ToJson() const {
   bool first = true;
   for (const auto& c : counters) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + json::Escape(c.name) + "\": " + FormatValue(c.value);
+    out += "    \"" + json::Escape(c.name) + "\": " + std::to_string(c.value);
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
@@ -161,7 +149,8 @@ std::string Snapshot::ToJson() const {
   first = true;
   for (const auto& g : gauges) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + json::Escape(g.name) + "\": " + FormatValue(g.value);
+    out += "    \"" + json::Escape(g.name) + "\": ";
+    json::AppendNumber(&out, g.value);
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
@@ -170,16 +159,17 @@ std::string Snapshot::ToJson() const {
   for (const auto& h : histograms) {
     out += first ? "\n" : ",\n";
     out += "    \"" + json::Escape(h.name) +
-           "\": {\"count\": " + FormatValue(h.count) +
-           ", \"sum\": " + FormatValue(h.sum) + ", \"bounds\": [";
+           "\": {\"count\": " + std::to_string(h.count) + ", \"sum\": ";
+    json::AppendNumber(&out, h.sum);
+    out += ", \"bounds\": [";
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       if (i > 0) out += ", ";
-      out += FormatValue(h.bounds[i]);
+      json::AppendNumber(&out, h.bounds[i]);
     }
     out += "], \"bucket_counts\": [";
     for (std::size_t i = 0; i < h.bucket_counts.size(); ++i) {
       if (i > 0) out += ", ";
-      out += FormatValue(h.bucket_counts[i]);
+      out += std::to_string(h.bucket_counts[i]);
     }
     out += "]}";
     first = false;
@@ -191,19 +181,26 @@ std::string Snapshot::ToJson() const {
 std::string Snapshot::ToCsv() const {
   std::string out = "kind,name,field,value\n";
   for (const auto& c : counters) {
-    out += "counter," + c.name + ",value," + FormatValue(c.value) + "\n";
+    out += "counter," + c.name + ",value," + std::to_string(c.value) + "\n";
   }
   for (const auto& g : gauges) {
-    out += "gauge," + g.name + ",value," + FormatValue(g.value) + "\n";
+    out += "gauge," + g.name + ",value,";
+    json::AppendNumber(&out, g.value);
+    out += '\n';
   }
   for (const auto& h : histograms) {
-    out += "histogram," + h.name + ",count," + FormatValue(h.count) + "\n";
-    out += "histogram," + h.name + ",sum," + FormatValue(h.sum) + "\n";
+    out += "histogram," + h.name + ",count," + std::to_string(h.count) + "\n";
+    out += "histogram," + h.name + ",sum,";
+    json::AppendNumber(&out, h.sum);
+    out += '\n';
     for (std::size_t i = 0; i < h.bucket_counts.size(); ++i) {
-      const std::string le =
-          i < h.bounds.size() ? FormatValue(h.bounds[i]) : "inf";
-      out += "histogram," + h.name + ",le_" + le + "," +
-             FormatValue(h.bucket_counts[i]) + "\n";
+      out += "histogram," + h.name + ",le_";
+      if (i < h.bounds.size()) {
+        json::AppendNumber(&out, h.bounds[i]);
+      } else {
+        out += "inf";
+      }
+      out += "," + std::to_string(h.bucket_counts[i]) + "\n";
     }
   }
   return out;

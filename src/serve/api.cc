@@ -1,7 +1,6 @@
 #include "serve/api.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "obs/json.h"
 
@@ -107,37 +106,29 @@ std::string ErrorJson(const std::string& message) {
   return "{\"error\": \"" + obs::json::Escape(message) + "\"}";
 }
 
-namespace {
-
-std::string FormatValue(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string SampleResponseJson(const std::string& model,
                                std::uint64_t generation, bool cached,
                                const data::Dataset& rows) {
-  std::string out;
-  // ~20 bytes per value dominates; reserve once to keep the serializer
-  // off the allocator hot path under load.
-  out.reserve(64 + rows.size() * (rows.dim() + 1) * 20);
-  out += "{\"model\": \"" + obs::json::Escape(model) + "\"";
+  std::string out = "{\"model\": \"" + obs::json::Escape(model) + "\"";
   out += ", \"generation\": " + std::to_string(generation);
   out += ", \"n\": " + std::to_string(rows.size());
   out += ", \"dim\": " + std::to_string(rows.dim());
   out += ", \"num_classes\": " + std::to_string(rows.num_classes);
   out += cached ? ", \"cached\": true" : ", \"cached\": false";
   out += ", \"rows\": [";
+  // Reserve the worst case once, so the body never reallocates: a value
+  // takes at most kMaxNumberChars plus its ", ", a row adds "[]" and
+  // ", ", a label at most 20 digits and ", ", and the tail is 16 bytes.
+  const std::size_t value_bytes = obs::json::kMaxNumberChars + 2;
+  out.reserve(out.size() + rows.size() * (rows.dim() * value_bytes + 4) +
+              rows.labels.size() * 22 + 16);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) out += ", ";
     out += '[';
     const double* row = rows.features.row_data(i);
     for (std::size_t j = 0; j < rows.dim(); ++j) {
       if (j > 0) out += ", ";
-      out += FormatValue(row[j]);
+      obs::json::AppendNumber(&out, row[j]);
     }
     out += ']';
   }

@@ -83,9 +83,7 @@ const char* ReasonPhrase(int status) {
 }
 
 std::string HttpResponse::Serialize() const {
-  std::string out;
-  out.reserve(128 + body.size());
-  out += "HTTP/1.1 ";
+  std::string out = "HTTP/1.1 ";
   out += std::to_string(status);
   out += ' ';
   out += ReasonPhrase(status);
@@ -106,6 +104,8 @@ std::string HttpResponse::Serialize() const {
   }
   if (close_connection) out += "Connection: close\r\n";
   out += "\r\n";
+  // Sized from the finished head, so the body is copied exactly once.
+  out.reserve(out.size() + body.size());
   out += body;
   return out;
 }

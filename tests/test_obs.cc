@@ -6,11 +6,14 @@
 // fixture below, which restores a clean disabled state.
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -841,6 +844,116 @@ TEST(PrometheusTest, ExpositionMatchesGoldenFixture) {
   std::stringstream golden;
   golden << in.rdbuf();
   EXPECT_EQ(ToPrometheusText(snapshot), golden.str());
+}
+
+// ---------------------------------------------------------------------
+// json::AppendNumber against its specification, printf("%.17g"),
+// compared as strings: parsing back would hide a digit, notation or
+// sign difference that the wire format would not.
+
+std::string Printf17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string Appended(double v) {
+  std::string out;
+  json::AppendNumber(&out, v);
+  return out;
+}
+
+// Checks every value of `values` and reports the first few mismatches,
+// so a broken formatter fails with examples instead of a million lines.
+void ExpectMatchesPrintf(const std::vector<double>& values) {
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string got = Appended(v);
+    const std::string want = Printf17g(v);
+    if (got != want || got.size() > json::kMaxNumberChars) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "AppendNumber wrote \"" << got << "\", printf \""
+                      << want << "\"";
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+TEST(JsonNumberTest, SpecialValuesMatchPrintf) {
+  using limits = std::numeric_limits<double>;
+  const double nan = limits::quiet_NaN();
+  ExpectMatchesPrintf({0.0, -0.0, limits::infinity(), -limits::infinity(),
+                       nan, std::copysign(nan, -1.0), limits::denorm_min(),
+                       -limits::denorm_min(), limits::min(), -limits::min(),
+                       limits::max(), -limits::max(), 1.0, -1.0, 0.5, 0.1,
+                       1.0 / 3.0, 123456789.25, 1e300, 1e-7});
+  EXPECT_EQ(Appended(-0.0), "-0");
+  EXPECT_EQ(Appended(std::copysign(nan, -1.0)), "-nan");
+  EXPECT_EQ(Appended(-limits::infinity()), "-inf");
+  // The longest output, which the documented bound must cover exactly.
+  EXPECT_EQ(Appended(-limits::min()), "-2.2250738585072014e-308");
+  EXPECT_EQ(Appended(-limits::min()).size(), json::kMaxNumberChars);
+}
+
+TEST(JsonNumberTest, NotationSwitchesMatchPrintf) {
+  // %g turns to exponent form below 1e-4 and from 1e17 (precision 17)
+  // on; each switch point is checked with its neighbours and signs.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values;
+  for (const double edge : {1e-5, 1e-4, 1e16, 1e17}) {
+    const double down = std::nextafter(edge, 0.0);
+    const double up = std::nextafter(edge, inf);
+    for (const double v : {std::nextafter(down, 0.0), down, edge, up,
+                           std::nextafter(up, inf)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  ExpectMatchesPrintf(values);
+  EXPECT_EQ(Appended(1e-4), "0.0001");
+  EXPECT_EQ(Appended(1e-5), "1.0000000000000001e-05");
+  EXPECT_EQ(Appended(1e16), "10000000000000000");
+  EXPECT_EQ(Appended(1e17), "1e+17");
+}
+
+TEST(JsonNumberTest, ExactDecimalTiesRoundHalfToEvenLikePrintf) {
+  // For odd j, j / 2^k has exactly k decimals, the last a 5. With k = 17
+  // on [1, 4) and k = 18 on [0.1, 1) that is 18 significant digits: an
+  // exact tie at the 17th, which %.17g rounds half to even.
+  EXPECT_EQ(Appended(131073.0 / 262144.0), "0.50000381469726562");
+  std::vector<double> values;
+  for (const int k : {17, 18}) {
+    for (std::uint64_t j = 1; j < (std::uint64_t{1} << 19); j += 2) {
+      values.push_back(std::ldexp(static_cast<double>(j), -k));
+    }
+  }
+  ExpectMatchesPrintf(values);
+}
+
+TEST(JsonNumberTest, SeededRandomDoublesMatchPrintf) {
+  std::mt19937_64 rng(0x5eed17);
+  std::vector<double> values;
+  values.reserve(2'000'000);
+  // Every finite and non-finite encoding, uniformly over bit patterns.
+  for (int i = 0; i < 1'000'000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  // Values in (0, 1), the range of a Bernoulli decoder's outputs.
+  for (int i = 0; i < 1'000'000; ++i) {
+    values.push_back(std::ldexp(static_cast<double>((rng() >> 11) | 1), -53));
+  }
+  ExpectMatchesPrintf(values);
+}
+
+TEST(JsonNumberTest, AppendsAfterExistingContent) {
+  std::string out = "[\"prefix that outgrows the small-string buffer\", ";
+  const std::string prefix = out;
+  json::AppendNumber(&out, 0.49500016666000024);
+  out += ", ";
+  json::AppendNumber(&out, -2.5e-300);
+  EXPECT_EQ(out, prefix + Printf17g(0.49500016666000024) + ", " +
+                     Printf17g(-2.5e-300));
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 // neighbours (see ReleasePackage::DecodeLatent).
 
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -148,6 +150,28 @@ TEST_F(ServeDeterminismTest, UnseededRequestsVary) {
   ASSERT_EQ(a->status, 200);
   ASSERT_EQ(b->status, 200);
   EXPECT_NE(a->body, b->body);
+}
+
+TEST_F(ServeDeterminismTest, SeededBodyMatchesCheckedInGolden) {
+  // The other tests here compare responses of one build with each other;
+  // this one pins the wire bytes across commits. The fixture holds the
+  // body of this exact request, captured once from the encoder that
+  // formatted each value with snprintf("%.17g"), and is never
+  // regenerated: a change to digits, notation, separators or field
+  // order fails here.
+  auto server = StartServer(/*max_batch=*/8);
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  auto response = client.Post("/v1/sample", SampleBody(42, 16));
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->status, 200);
+  std::ifstream in(
+      std::string(P3GM_GOLDEN_DIR) + "/sample_response_small.json",
+      std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(response->body, golden.str());
 }
 
 TEST_F(ServeDeterminismTest, GoldenDecodeFixtureMatchesBothRuntimes) {

@@ -6,10 +6,13 @@
 // in the sanitizer CI config: the contract is "4xx status, never a
 // crash" for every byte sequence here.
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "data/dataset.h"
 #include "gtest/gtest.h"
+#include "linalg/matrix.h"
 #include "serve/api.h"
 #include "serve/http.h"
 
@@ -312,6 +315,42 @@ TEST(ParseSampleRequest, RejectsDeeplyNestedJson) {
 
 TEST(ErrorJson, EscapesMessage) {
   EXPECT_EQ(ErrorJson("a \"b\"\n"), "{\"error\": \"a \\\"b\\\"\\n\"}");
+}
+
+// The body's numbers are printf("%.17g") bytes, so the expected string
+// is built with snprintf; values cover what a Gaussian decoder can emit.
+TEST(SampleResponseJson, WritesEveryValueAsPrintf17g) {
+  const std::vector<double> values = {
+      -0.25, -0.0, 1e-7,         1e300, 123456789.25, 3.0,
+      0.0,   1.0,  -1234567.0,   0.1,   1.0 / 3.0,    -2.5e-300};
+  data::Dataset rows;
+  rows.features = linalg::Matrix(3, 4);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    rows.features.data()[i] = values[i];
+  }
+  rows.labels = {2, 0, 1};
+  rows.num_classes = 3;
+
+  std::string want =
+      "{\"model\": \"m\\\"x\", \"generation\": 7, \"n\": 3, \"dim\": 4, "
+      "\"num_classes\": 3, \"cached\": true, \"rows\": [";
+  for (std::size_t i = 0; i < 3; ++i) {
+    want += i > 0 ? ", [" : "[";
+    for (std::size_t j = 0; j < 4; ++j) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.17g", values[i * 4 + j]);
+      want += j > 0 ? ", " : "";
+      want += buf;
+    }
+    want += ']';
+  }
+  want += "], \"labels\": [2, 0, 1]}";
+  const std::string got = SampleResponseJson("m\"x", 7, /*cached=*/true, rows);
+  EXPECT_EQ(got, want);
+  // Exponent form and the sign of zero, spelled out.
+  EXPECT_NE(got.find("[-0.25, -0, 9.9999999999999995e-08, "
+                     "1.0000000000000001e+300]"),
+            std::string::npos);
 }
 
 }  // namespace

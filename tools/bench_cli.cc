@@ -24,6 +24,7 @@
 
 #include "tools/bench_cli.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "core/release.h"
+#include "data/dataset.h"
 #include "dp/accountant.h"
 #include "dp/mechanisms.h"
 #include "linalg/cholesky.h"
@@ -45,6 +47,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/prometheus.h"
 #include "pca/pca.h"
+#include "serve/api.h"
 #include "stats/gmm.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -354,6 +357,29 @@ std::vector<MicroBench> BuildSuite(bool smoke) {
           return [pkg, z, out] {
             const util::Status s = pkg->DecodeLatentInto(*z, out.get());
             Keep(s.ok() ? out->data()[0] : 0.0);
+          };
+        });
+  }
+
+  // The /v1/sample body encoder on a serve_bulk-shaped response: 16 rows
+  // of 784 pixels plus a 10-class block, valued like a Bernoulli
+  // decoder's sigmoid outputs, so nearly every value takes 17 digits.
+  {
+    const std::size_t n = smoke ? 4 : 16;
+    const std::size_t d = smoke ? 64 : 794;
+    add("serve.encode." + std::to_string(n) + "x" + std::to_string(d),
+        [n, d]() {
+          auto rows = std::make_shared<data::Dataset>();
+          rows->features = RandomMatrix(n, d, 43);
+          for (std::size_t i = 0; i < rows->features.size(); ++i) {
+            double& v = rows->features.data()[i];
+            v = 1.0 / (1.0 + std::exp(-v));
+          }
+          rows->num_classes = 10;
+          for (std::size_t i = 0; i < n; ++i) rows->labels.push_back(i % 10);
+          return [rows] {
+            Keep(static_cast<double>(
+                serve::SampleResponseJson("bench", 1, false, *rows).size()));
           };
         });
   }
