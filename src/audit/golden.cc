@@ -1,11 +1,13 @@
 #include "audit/golden.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "core/pgm.h"
 #include "core/release.h"
+#include "core/vae.h"
 #include "data/dataset.h"
 #include "linalg/matrix.h"
 #include "pca/pca.h"
@@ -21,6 +23,7 @@ namespace {
 constexpr char kHeader[] = "# p3gm golden trace v1";
 constexpr char kDecodeHeader[] = "# p3gm golden decode v1";
 constexpr char kDpPcaHeader[] = "# p3gm golden dp-pca v1";
+constexpr char kElboHeader[] = "# p3gm golden elbo v1";
 constexpr double kDelta = 1e-5;
 
 // Shared line-by-line comparison: regenerated `fresh` lines against the
@@ -86,6 +89,97 @@ std::string FormatValueRow(const char* tag, std::size_t i, const double* v,
   return os.str();
 }
 
+// The fixed-seed training input of the Pgm and ELBO traces: 96 x 12
+// uniform rows in [0, 1), small enough that every variant fits in well
+// under a second.
+linalg::Matrix SmallTrainingData() {
+  util::Rng data_rng(123);
+  linalg::Matrix x(96, 12);
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = data_rng.Uniform();
+  return x;
+}
+
+// "epoch,<i>,<recon>,<kl>,<epsilon>" for one TrainProgress report.
+std::string EpochLine(const core::TrainProgress& p, double epsilon) {
+  char buf[192];
+  std::snprintf(buf, sizeof(buf), "epoch,%zu,%.17g,%.17g,%.17g", p.epoch,
+                p.recon_loss, p.kl_loss, epsilon);
+  return buf;
+}
+
+// "final,<epsilon>,<best_order>" for a ComputeEpsilon result.
+std::string FinalLine(const dp::DpGuarantee& g) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "final,%.17g,%.17g", g.epsilon,
+                g.best_order);
+  return buf;
+}
+
+// Synthesis digest: a fixed-seed sample folded to one number. Catches
+// regressions in the sampling path (prior draw + decoder) that the
+// training trace cannot see.
+template <typename Model>
+std::string SampleLine(Model* model) {
+  util::Rng sample_rng(31337);
+  const linalg::Matrix sample = model->Sample(8, &sample_rng);
+  double checksum = 0.0;
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    checksum += sample.data()[i] * static_cast<double>(i % 7 + 1);
+  }
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "sample,%zu,%.17g", sample.size(),
+                checksum);
+  return buf;
+}
+
+// 64-bit FNV-1a over `n` doubles' bytes, continuing from `hash`.
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+std::uint64_t Fnv1a(const double* values, std::size_t n,
+                    std::uint64_t hash) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values);
+  for (std::size_t i = 0; i < n * sizeof(double); ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::string Hex64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Fits a Model built from `options` on `x` and appends its
+// GoldenElboLines block.
+template <typename Model, typename Options>
+void AppendElboVariant(const char* variant, const Options& options,
+                       const linalg::Matrix& x,
+                       std::vector<std::string>* lines) {
+  lines->push_back(std::string("variant,") + variant);
+  Model model(options);
+  const util::Status status =
+      model.Fit(x, [&model, lines](const core::TrainProgress& p) {
+        lines->push_back(
+            EpochLine(p, model.accountant().GetEpsilon(kDelta).epsilon));
+      });
+  if (!status.ok()) {
+    lines->push_back(std::string("error,") + status.message());
+    return;
+  }
+  lines->push_back(FinalLine(model.ComputeEpsilon(kDelta)));
+  std::uint64_t weights = kFnvOffset;
+  for (const linalg::Matrix& w : model.ExportDecoderWeights()) {
+    weights = Fnv1a(w.data(), w.size(), weights);
+  }
+  lines->push_back("weights," + Hex64(weights));
+  const std::vector<double>& trace = model.trace().recon_loss;
+  lines->push_back("trace," + std::to_string(trace.size()) + "," +
+                   Hex64(Fnv1a(trace.data(), trace.size(), kFnvOffset)));
+  lines->push_back(SampleLine(&model));
+}
+
 // The canonical decode package: explicit deterministic weights, no
 // training. Distinct from the serve-test fixture so the two suites pin
 // different numeric surfaces. latent 4 -> hidden 16 -> output 10 with a
@@ -129,58 +223,24 @@ core::ReleasePackage GoldenDecodePackage() {
 }  // namespace
 
 std::vector<std::string> GoldenPgmTraceLines() {
-  // Fixed-seed synthetic data in [0, 1): small enough that the full DP
-  // pipeline (DP-PCA + DP-EM + DP-SGD) runs in well under a second.
-  util::Rng data_rng(123);
-  linalg::Matrix x(96, 12);
-  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = data_rng.Uniform();
-
-  core::PgmOptions options;
-  options.hidden = 16;
-  options.latent_dim = 4;
-  options.mog_components = 2;
-  options.epochs = 4;
-  options.batch_size = 24;
-  options.differentially_private = true;
-  options.seed = 2024;
-
-  core::Pgm pgm(options);
+  core::Pgm pgm({.hidden = 16, .latent_dim = 4, .mog_components = 2,
+                 .epochs = 4, .batch_size = 24,
+                 .differentially_private = true, .seed = 2024});
   std::vector<std::string> lines;
   lines.emplace_back(kHeader);
   const auto callback = [&pgm, &lines](const core::TrainProgress& p) {
     // The live accountant has already composed every release up to and
     // including this epoch's DP-SGD steps.
-    const double eps = pgm.accountant().GetEpsilon(kDelta).epsilon;
-    char buf[192];
-    std::snprintf(buf, sizeof(buf), "epoch,%zu,%.17g,%.17g,%.17g", p.epoch,
-                  p.recon_loss, p.kl_loss, eps);
-    lines.emplace_back(buf);
+    lines.push_back(
+        EpochLine(p, pgm.accountant().GetEpsilon(kDelta).epsilon));
   };
-  const util::Status status = pgm.Fit(x, callback);
+  const util::Status status = pgm.Fit(SmallTrainingData(), callback);
   if (!status.ok()) {
     lines.push_back(std::string("error,") + status.message());
     return lines;
   }
-
-  const dp::DpGuarantee g = pgm.ComputeEpsilon(kDelta);
-  char final_buf[128];
-  std::snprintf(final_buf, sizeof(final_buf), "final,%.17g,%.17g", g.epsilon,
-                g.best_order);
-  lines.emplace_back(final_buf);
-
-  // Synthesis digest: a fixed-seed sample folded to one number. Catches
-  // regressions in the sampling path (prior draw + decoder) that the
-  // training trace cannot see.
-  util::Rng sample_rng(31337);
-  const linalg::Matrix sample = pgm.Sample(8, &sample_rng);
-  double checksum = 0.0;
-  for (std::size_t i = 0; i < sample.size(); ++i) {
-    checksum += sample.data()[i] * static_cast<double>(i % 7 + 1);
-  }
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "sample,%zu,%.17g", sample.size(),
-                checksum);
-  lines.emplace_back(buf);
+  lines.push_back(FinalLine(pgm.ComputeEpsilon(kDelta)));
+  lines.push_back(SampleLine(&pgm));
   return lines;
 }
 
@@ -305,6 +365,36 @@ bool WriteGoldenDpPca(const std::string& path) {
 
 GoldenCompareResult CompareGoldenDpPca(const std::string& path) {
   return CompareLinesAgainstFile(GoldenDpPcaLines(), path);
+}
+
+std::vector<std::string> GoldenElboLines() {
+  const linalg::Matrix x = SmallTrainingData();
+  std::vector<std::string> lines = {kElboHeader};
+  core::PgmOptions pgm{.hidden = 16, .latent_dim = 4, .mog_components = 2,
+                       .epochs = 3, .batch_size = 24, .seed = 2025};
+  AppendElboVariant<core::Pgm>("PGM", pgm, x, &lines);
+  pgm.freeze_variance = pgm.differentially_private = true;
+  pgm.seed = 2026;
+  AppendElboVariant<core::Pgm>("P3GM(AE)", pgm, x, &lines);
+
+  core::VaeOptions vae{.hidden = 16, .latent_dim = 3, .epochs = 3,
+                       .batch_size = 24, .seed = 58};
+  AppendElboVariant<core::Vae>("VAE", vae, x, &lines);
+  vae.differentially_private = true;
+  vae.seed = 59;
+  AppendElboVariant<core::Vae>("DP-VAE", vae, x, &lines);
+  vae.decoder = core::DecoderType::kGaussian;
+  vae.seed = 60;
+  AppendElboVariant<core::Vae>("DP-VAE(Gaussian)", vae, x, &lines);
+  return lines;
+}
+
+bool WriteGoldenElbo(const std::string& path) {
+  return WriteLinesToFile(GoldenElboLines(), path);
+}
+
+GoldenCompareResult CompareGoldenElbo(const std::string& path) {
+  return CompareLinesAgainstFile(GoldenElboLines(), path);
 }
 
 }  // namespace audit

@@ -79,6 +79,27 @@ bool WriteGoldenDpPca(const std::string& path);
 /// checked-in file at `path` (normally tests/golden/dp_pca_d200.golden).
 GoldenCompareResult CompareGoldenDpPca(const std::string& path);
 
+/// Golden ELBO fixture: the ELBO-trained variants the P3GM trace above
+/// does not cover, each a fixed-seed fit on one 96 x 12 input — PGM
+/// (non-DP), P3GM(AE) (DP, frozen variance), VAE, DP-VAE (the loop each
+/// DP-GM cluster runs) and the Gaussian-decoder DP-VAE:
+///   variant,<name>
+///   epoch,<i>,<recon>,<kl>,<epsilon>   (one per epoch; live accountant)
+///   final,<epsilon>,<best_order>       (ComputeEpsilon)
+///   weights,<fnv1a64 hex>              (ExportDecoderWeights bytes)
+///   trace,<n>,<fnv1a64 hex>            (per-iteration recon losses)
+///   sample,<n>,<checksum>              (fixed-seed Sample digest)
+/// Every double is %.17g, so the file pins each variant's training loop
+/// bit-for-bit.
+std::vector<std::string> GoldenElboLines();
+
+/// Writes the ELBO fixture to `path`. Returns false on I/O failure.
+bool WriteGoldenElbo(const std::string& path);
+
+/// Regenerates the ELBO fixture in-process and compares it against the
+/// checked-in file at `path` (normally tests/golden/elbo_small.golden).
+GoldenCompareResult CompareGoldenElbo(const std::string& path);
+
 }  // namespace audit
 }  // namespace p3gm
 

@@ -1,9 +1,8 @@
 #ifndef P3GM_CORE_MIXTURE_KL_H_
 #define P3GM_CORE_MIXTURE_KL_H_
 
-#include <vector>
-
 #include "linalg/matrix.h"
+#include "nn/losses.h"
 #include "stats/gmm.h"
 
 namespace p3gm {
@@ -13,13 +12,9 @@ namespace core {
 /// decoding phase needs. The value uses the Hershey–Olsen variational
 /// approximation D = -log sum_b pi_b exp(-KL_b) (paper Section IV-D);
 /// the gradient flows only to the log-variances because the encoder mean
-/// is frozen to f(x) (Section V-B).
-struct MixtureKlResult {
-  double value = 0.0;
-  std::vector<double> per_example;
-  /// d value / d logvar, same shape as the logvar input.
-  linalg::Matrix grad_logvar;
-};
+/// is frozen to f(x) (Section V-B), so `grad_mu` stays empty. It shares
+/// the result type of nn::StandardNormalKl, the VAE's KL term.
+using MixtureKlResult = nn::KlResult;
 
 /// `mu` and `logvar` are (B x d) with d == prior.dim(). When `mean` is
 /// true the value and gradients carry a 1/B factor (standard training);

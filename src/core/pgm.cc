@@ -1,14 +1,8 @@
 #include "core/pgm.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "core/mixture_kl.h"
 #include "dp/mechanisms.h"
-#include "linalg/ops.h"
-#include "nn/activations.h"
-#include "nn/dp_sgd.h"
-#include "nn/losses.h"
 #include "obs/ledger.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -17,26 +11,24 @@
 namespace p3gm {
 namespace core {
 
-namespace {
-
-constexpr double kLogVarMin = -8.0;
-constexpr double kLogVarMax = 8.0;
-
-void ClampInPlace(double lo, double hi, linalg::Matrix* m) {
-  double* data = m->data();
-  for (std::size_t i = 0; i < m->size(); ++i) {
-    data[i] = std::clamp(data[i], lo, hi);
-  }
-}
-
-}  // namespace
-
+// The trainer takes its latent width from the frozen mean Fit passes and
+// draws from rng_, so latent_dim and seed stay at their defaults.
 Pgm::Pgm(const PgmOptions& options)
     : options_(options),
       rng_(options.seed),
-      encoder_trunk_("encoder"),
-      decoder_("decoder"),
-      optimizer_(options.learning_rate) {}
+      net_({.hidden = options.hidden,
+            .epochs = options.epochs,
+            .batch_size = options.batch_size,
+            .learning_rate = options.learning_rate,
+            .decoder = options.decoder,
+            .differentially_private = options.differentially_private,
+            .clip_norm = options.clip_norm,
+            .sgd_sigma = options.sgd_sigma},
+           {.epoch_span = "pgm.epoch",
+            .batches = "pgm.batches",
+            .epoch = "pgm.epoch",
+            .recon_loss = "pgm.epoch.recon_loss",
+            .kl_loss = "pgm.epoch.kl_loss"}) {}
 
 linalg::Matrix Pgm::EncodeMean(const linalg::Matrix& x) const {
   linalg::Matrix z = pca_fitted_ ? pca_.Transform(x) : x;
@@ -66,7 +58,6 @@ util::Status Pgm::Fit(const linalg::Matrix& x, const EpochCallback& callback) {
   }
   fitted_ = true;
   data_size_ = x.rows();
-  const std::size_t n = x.rows();
   const std::size_t d = x.cols();
   const bool dp = options_.differentially_private;
 
@@ -80,9 +71,8 @@ util::Status Pgm::Fit(const linalg::Matrix& x, const EpochCallback& callback) {
   // ---------------------------------------------------------------
   // Encoding Phase (Algorithm 1 lines 1-4).
   // ---------------------------------------------------------------
-  effective_latent_ = options_.use_pca ? options_.latent_dim : d;
   if (options_.use_pca) {
-    if (effective_latent_ > d) {
+    if (options_.latent_dim > d) {
       return util::Status::InvalidArgument(
           "Pgm::Fit: latent_dim exceeds data dimension");
     }
@@ -91,12 +81,12 @@ util::Status Pgm::Fit(const linalg::Matrix& x, const EpochCallback& callback) {
     const std::uint64_t phase_start = obs::NowNs();
     if (dp) {
       pca::DpPcaOptions pca_opts;
-      pca_opts.num_components = effective_latent_;
+      pca_opts.num_components = options_.latent_dim;
       pca_opts.epsilon = options_.pca_epsilon;
       pca_opts.accountant = &accountant_;
       P3GM_ASSIGN_OR_RETURN(pca_, pca::FitDpPca(x, pca_opts, &rng_));
     } else {
-      P3GM_ASSIGN_OR_RETURN(pca_, pca::FitPca(x, effective_latent_));
+      P3GM_ASSIGN_OR_RETURN(pca_, pca::FitPca(x, options_.latent_dim));
     }
     pca_fitted_ = true;
     registry.gauge("pgm.phase.pca_seconds")
@@ -130,155 +120,18 @@ util::Status Pgm::Fit(const linalg::Matrix& x, const EpochCallback& callback) {
   }
 
   // ---------------------------------------------------------------
-  // Decoding Phase (Algorithm 1 lines 5-11).
+  // Decoding Phase (Algorithm 1 lines 5-11): the ELBO trainer with the
+  // encoder mean frozen to f(x) and the KL taken against the MoG prior.
+  // The frozen mean receives no gradient; only the decoder and
+  // (optionally) the variance head train.
   // ---------------------------------------------------------------
-  obs::PhaseScope sgd_phase("dp_sgd");
   P3GM_TRACE_SPAN("pgm.phase.sgd");
   const std::uint64_t sgd_phase_start = obs::NowNs();
-  const std::size_t dl = effective_latent_;
-  const bool learn_variance = !options_.freeze_variance;
-  if (learn_variance) {
-    encoder_trunk_.Emplace<nn::Linear>("enc1", d, options_.hidden, &rng_);
-    encoder_trunk_.Emplace<nn::Relu>();
-    logvar_head_ = std::make_unique<nn::Linear>("enc_logvar",
-                                                options_.hidden, dl, &rng_);
-  }
-  decoder_.Emplace<nn::Linear>("dec1", dl, options_.hidden, &rng_);
-  decoder_.Emplace<nn::Relu>();
-  decoder_.Emplace<nn::Linear>("dec2", options_.hidden, d, &rng_);
-
-  std::vector<nn::Layer*> stacks;
-  if (learn_variance) {
-    stacks.push_back(&encoder_trunk_);
-    stacks.push_back(logvar_head_.get());
-  }
-  stacks.push_back(&decoder_);
-  std::vector<nn::Parameter*> params;
-  for (nn::Layer* s : stacks) {
-    for (nn::Parameter* p : s->Parameters()) params.push_back(p);
-  }
-  auto zero_grads = [&] {
-    for (nn::Parameter* p : params) p->ZeroGrad();
-  };
-
-  const double q =
-      static_cast<double>(options_.batch_size) / static_cast<double>(n);
-  nn::DpSgdOptions dp_opts;
-  dp_opts.clip_norm = options_.clip_norm;
-  dp_opts.noise_multiplier = options_.sgd_sigma;
-  dp_opts.lot_size = options_.batch_size;
-
-  // The per-step RDP cost is the same for every step; computing the
-  // order curve once keeps per-step ledger accounting cheap.
-  const std::vector<double> sgd_curve =
-      dp ? accountant_.SampledGaussianCurve(q, options_.sgd_sigma)
-         : std::vector<double>();
-  obs::Counter* batches = registry.counter("pgm.batches");
-  obs::Gauge* epoch_gauge = registry.gauge("pgm.epoch");
-  obs::Gauge* recon_gauge = registry.gauge("pgm.epoch.recon_loss");
-  obs::Gauge* kl_gauge = registry.gauge("pgm.epoch.kl_loss");
-
-  const std::size_t steps_per_epoch =
-      std::max<std::size_t>(1, n / options_.batch_size);
-  for (std::size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    P3GM_TRACE_SPAN("pgm.epoch");
-    std::vector<std::size_t> perm = rng_.Permutation(n);
-    double epoch_recon = 0.0, epoch_kl = 0.0, epoch_examples = 0.0;
-    for (std::size_t step = 0; step < steps_per_epoch; ++step) {
-      std::vector<std::size_t> idx;
-      if (dp) {
-        idx = rng_.PoissonSample(n, q);
-        if (idx.empty()) continue;
-      } else {
-        const std::size_t start = step * options_.batch_size;
-        for (std::size_t i = start;
-             i < std::min(start + options_.batch_size, n); ++i) {
-          idx.push_back(perm[i]);
-        }
-      }
-      const std::size_t b = idx.size();
-      const linalg::Matrix xb = x.SelectRows(idx);
-      const linalg::Matrix cx = encoded.SelectRows(idx);
-
-      zero_grads();
-      const bool mean = !dp;
-
-      linalg::Matrix z = cx;
-      linalg::Matrix logvar, eps, half_std;
-      if (learn_variance) {
-        const linalg::Matrix h = encoder_trunk_.Forward(xb, true);
-        logvar = logvar_head_->Forward(h, true);
-        ClampInPlace(kLogVarMin, kLogVarMax, &logvar);
-        eps = linalg::Matrix(b, dl);
-        half_std = linalg::Matrix(b, dl);
-        for (std::size_t i = 0; i < eps.size(); ++i) {
-          eps.data()[i] = rng_.Normal();
-          half_std.data()[i] = std::exp(0.5 * logvar.data()[i]);
-          z.data()[i] += half_std.data()[i] * eps.data()[i];
-        }
-      }
-      const linalg::Matrix logits = decoder_.Forward(z, true);
-      const nn::LossResult recon =
-          options_.decoder == DecoderType::kBernoulli
-              ? nn::BceWithLogitsLoss(logits, xb, mean)
-              : nn::MseLoss(logits, xb, mean);
-
-      MixtureKlResult kl;
-      if (learn_variance) {
-        kl = MixturePriorKl(cx, logvar, prior_, mean);
-      }
-
-      for (std::size_t i = 0; i < b; ++i) {
-        epoch_recon += recon.per_example[i];
-        if (learn_variance) epoch_kl += kl.per_example[i];
-      }
-      epoch_examples += static_cast<double>(b);
-      {
-        double batch_recon = 0.0;
-        for (double v : recon.per_example) batch_recon += v;
-        trace_.recon_loss.push_back(batch_recon / static_cast<double>(b));
-      }
-
-      // Backward. The frozen encoder mean receives no gradient; only the
-      // decoder and (optionally) the variance head train.
-      const linalg::Matrix dz = decoder_.Backward(recon.grad, !dp);
-      if (learn_variance) {
-        linalg::Matrix dlogvar = kl.grad_logvar;
-        for (std::size_t i = 0; i < dlogvar.size(); ++i) {
-          dlogvar.data()[i] +=
-              dz.data()[i] * eps.data()[i] * 0.5 * half_std.data()[i];
-        }
-        const linalg::Matrix dh = logvar_head_->Backward(dlogvar, !dp);
-        encoder_trunk_.Backward(dh, !dp);
-      }
-
-      if (dp) {
-        nn::DpSgdStep dp_step(dp_opts, &rng_);
-        P3GM_RETURN_NOT_OK(dp_step.CollectSquaredNorms(stacks, b));
-        dp_step.ApplyClippedAccumulation(stacks);
-        dp_step.AddNoiseAndAverage(params, b);
-        ++sgd_steps_taken_;
-        dp::MechanismEvent event;
-        event.mechanism = "sampled_gaussian";
-        event.sigma = options_.sgd_sigma;
-        event.sampling_rate = q;
-        accountant_.AddEvent(event, sgd_curve);
-      }
-      optimizer_.Step(params);
-      batches->Add();
-    }
-    epoch_gauge->Set(static_cast<double>(epoch + 1));
-    recon_gauge->Set(epoch_examples > 0 ? epoch_recon / epoch_examples : 0.0);
-    kl_gauge->Set(epoch_examples > 0 ? epoch_kl / epoch_examples : 0.0);
-    if (callback) {
-      TrainProgress progress;
-      progress.epoch = epoch;
-      progress.recon_loss =
-          epoch_examples > 0 ? epoch_recon / epoch_examples : 0.0;
-      progress.kl_loss = epoch_examples > 0 ? epoch_kl / epoch_examples : 0.0;
-      callback(progress);
-    }
-  }
+  ElboVariant variant;
+  variant.frozen_mean = &encoded;
+  variant.prior = &prior_;
+  variant.learn_variance = !options_.freeze_variance;
+  P3GM_RETURN_NOT_OK(net_.Fit(x, variant, &rng_, &accountant_, callback));
   registry.gauge("pgm.phase.sgd_seconds")
       ->Set(static_cast<double>(obs::NowNs() - sgd_phase_start) * 1e-9);
   return util::Status::OK();
@@ -287,28 +140,6 @@ util::Status Pgm::Fit(const linalg::Matrix& x, const EpochCallback& callback) {
 linalg::Matrix Pgm::Sample(std::size_t n, util::Rng* rng) {
   P3GM_CHECK(fitted_);
   return Decode(prior_.SampleN(n, rng));
-}
-
-linalg::Matrix Pgm::Decode(const linalg::Matrix& z) {
-  linalg::Matrix logits = decoder_.Forward(z, false);
-  double* data = logits.data();
-  if (options_.decoder == DecoderType::kBernoulli) {
-    for (std::size_t i = 0; i < logits.size(); ++i) {
-      data[i] = nn::SigmoidScalar(data[i]);
-    }
-  } else {
-    for (std::size_t i = 0; i < logits.size(); ++i) {
-      data[i] = std::clamp(data[i], 0.0, 1.0);
-    }
-  }
-  return logits;
-}
-
-std::vector<linalg::Matrix> Pgm::ExportDecoderWeights() {
-  P3GM_CHECK_MSG(fitted_, "ExportDecoderWeights before Fit");
-  std::vector<linalg::Matrix> out;
-  for (nn::Parameter* p : decoder_.Parameters()) out.push_back(p->value);
-  return out;  // {W1, b1, W2, b2} in layer order.
 }
 
 dp::P3gmPrivacyParams Pgm::PrivacyParams() const {
@@ -325,7 +156,7 @@ dp::P3gmPrivacyParams Pgm::PrivacyParams() const {
       data_size_ > 0 ? static_cast<double>(options_.batch_size) /
                            static_cast<double>(data_size_)
                      : 0.0;
-  params.sgd_steps = sgd_steps_taken_;
+  params.sgd_steps = net_.sgd_steps();
   return params;
 }
 

@@ -1,15 +1,11 @@
 #ifndef P3GM_CORE_PGM_H_
 #define P3GM_CORE_PGM_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/vae.h"
 #include "dp/accountant.h"
 #include "linalg/matrix.h"
-#include "nn/linear.h"
-#include "nn/optimizer.h"
-#include "nn/sequential.h"
 #include "pca/pca.h"
 #include "stats/gmm.h"
 #include "util/result.h"
@@ -68,8 +64,9 @@ struct PgmOptions {
 /// the latent prior r_lambda(z) = MoG with (DP-)EM over f(X); the encoder
 /// mean is frozen to mu_phi(x) = f(x).
 ///
-/// Decoding Phase — train the decoder and the encoder's variance head by
-/// (DP-)SGD on the ELBO, whose KL term is taken against the MoG prior
+/// Decoding Phase — the ELBO trainer (ElboNet) with the encoder mean
+/// frozen to f(x): it trains the decoder and the encoder's variance head
+/// by (DP-)SGD on the ELBO, whose KL term is taken against the MoG prior
 /// via the Hershey–Olsen approximation.
 ///
 /// Synthesis — z ~ MoG(lambda), x = sigmoid(decoder(z)) (Section IV-E).
@@ -87,7 +84,7 @@ class Pgm {
   linalg::Matrix Sample(std::size_t n, util::Rng* rng);
 
   /// Decodes latent rows through the decoder (post-processing).
-  linalg::Matrix Decode(const linalg::Matrix& z);
+  linalg::Matrix Decode(const linalg::Matrix& z) { return net_.Decode(z); }
 
   /// The frozen encoder mean f(x) for each row of `x` (after the
   /// DP-mode unit-ball clipping, i.e. exactly what the decoder was
@@ -118,11 +115,13 @@ class Pgm {
                                              double delta);
 
   /// Per-iteration reconstruction-loss trace (Fig. 7a/b).
-  const IterationTrace& trace() const { return trace_; }
+  const IterationTrace& trace() const { return net_.trace(); }
 
   /// Exports the decoder's affine weights {W1, b1, W2, b2} for packaging
   /// into a ReleasePackage. Valid after Fit.
-  std::vector<linalg::Matrix> ExportDecoderWeights();
+  std::vector<linalg::Matrix> ExportDecoderWeights() {
+    return net_.ExportDecoderWeights();
+  }
 
   const PgmOptions& options() const { return options_; }
 
@@ -133,14 +132,8 @@ class Pgm {
   pca::PcaModel pca_;
   bool pca_fitted_ = false;
   stats::GaussianMixture prior_;
-  nn::Sequential encoder_trunk_;
-  std::unique_ptr<nn::Linear> logvar_head_;
-  nn::Sequential decoder_;
-  nn::Adam optimizer_;
-  IterationTrace trace_;
-  std::size_t effective_latent_ = 0;
+  ElboNet net_;
   std::size_t data_size_ = 0;
-  std::size_t sgd_steps_taken_ = 0;
   bool fitted_ = false;
 };
 

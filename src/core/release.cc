@@ -1,5 +1,6 @@
 #include "core/release.h"
 
+#include <cmath>
 #include <utility>
 
 #include "audit/fault_injection.h"
@@ -21,11 +22,36 @@ constexpr std::uint32_t kMagic = 0x50334752;  // "P3GR".
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kVersionFingerprint = 2;
 
-util::Status CheckWeightCount(const std::vector<linalg::Matrix>& w) {
+// A fitted model's decoder export {W1, b1, W2, b2}, packaged with `prior`.
+util::Result<ReleasePackage> FromExport(std::string name,
+                                        std::size_t num_classes,
+                                        DecoderType decoder,
+                                        stats::GaussianMixture prior,
+                                        std::vector<linalg::Matrix> w) {
   if (w.size() != 4) {
     return util::Status::Internal("decoder export: expected 4 tensors");
   }
+  return ReleasePackage::FromParts(std::move(name), num_classes, decoder,
+                                   std::move(prior), std::move(w[0]),
+                                   std::move(w[1]), std::move(w[2]),
+                                   std::move(w[3]));
+}
+
+// InvalidArgument naming `tensor` when any of its `n` values is NaN or
+// infinite. Such a value would decode to rows that JSON cannot carry.
+util::Status CheckFinite(const char* tensor, const double* values,
+                         std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(values[i])) {
+      return util::Status::InvalidArgument(
+          std::string("ReleasePackage: non-finite value in ") + tensor);
+    }
+  }
   return util::Status::OK();
+}
+
+util::Status CheckFinite(const char* tensor, const linalg::Matrix& m) {
+  return CheckFinite(tensor, m.data(), m.size());
 }
 
 }  // namespace
@@ -33,41 +59,20 @@ util::Status CheckWeightCount(const std::vector<linalg::Matrix>& w) {
 util::Result<ReleasePackage> ReleasePackage::FromPgm(Pgm* model,
                                                      std::size_t num_classes,
                                                      std::string name) {
-  std::vector<linalg::Matrix> w = model->ExportDecoderWeights();
-  P3GM_RETURN_NOT_OK(CheckWeightCount(w));
-  ReleasePackage pkg;
-  pkg.name_ = std::move(name);
-  pkg.num_classes_ = num_classes;
-  pkg.decoder_type_ = model->options().decoder;
-  pkg.prior_ = model->prior();
-  pkg.w1_ = std::move(w[0]);
-  pkg.b1_ = std::move(w[1]);
-  pkg.w2_ = std::move(w[2]);
-  pkg.b2_ = std::move(w[3]);
-  P3GM_RETURN_NOT_OK(pkg.Finalize());
-  return pkg;
+  return FromExport(std::move(name), num_classes, model->options().decoder,
+                    model->prior(), model->ExportDecoderWeights());
 }
 
 util::Result<ReleasePackage> ReleasePackage::FromVae(Vae* model,
                                                      std::size_t num_classes,
                                                      std::string name) {
-  std::vector<linalg::Matrix> w = model->ExportDecoderWeights();
-  P3GM_RETURN_NOT_OK(CheckWeightCount(w));
-  ReleasePackage pkg;
-  pkg.name_ = std::move(name);
-  pkg.num_classes_ = num_classes;
-  pkg.decoder_type_ = model->options().decoder;
-  const std::size_t dl = w[0].rows();
+  const std::size_t dl = model->options().latent_dim;
   P3GM_ASSIGN_OR_RETURN(
-      pkg.prior_,
+      stats::GaussianMixture prior,
       stats::GaussianMixture::Create({1.0}, linalg::Matrix(1, dl),
                                      linalg::Matrix(1, dl, 1.0)));
-  pkg.w1_ = std::move(w[0]);
-  pkg.b1_ = std::move(w[1]);
-  pkg.w2_ = std::move(w[2]);
-  pkg.b2_ = std::move(w[3]);
-  P3GM_RETURN_NOT_OK(pkg.Finalize());
-  return pkg;
+  return FromExport(std::move(name), num_classes, model->options().decoder,
+                    std::move(prior), model->ExportDecoderWeights());
 }
 
 util::Result<ReleasePackage> ReleasePackage::FromParts(
@@ -119,6 +124,20 @@ util::Status ReleasePackage::Validate() const {
   if (num_classes_ >= output_dim() && num_classes_ != 0) {
     return util::Status::InvalidArgument(
         "ReleasePackage: label block exceeds output dimension");
+  }
+  P3GM_RETURN_NOT_OK(CheckFinite("W1", w1_));
+  P3GM_RETURN_NOT_OK(CheckFinite("b1", b1_));
+  P3GM_RETURN_NOT_OK(CheckFinite("W2", w2_));
+  P3GM_RETURN_NOT_OK(CheckFinite("b2", b2_));
+  P3GM_RETURN_NOT_OK(CheckFinite("prior weights", prior_.weights().data(),
+                                 prior_.weights().size()));
+  P3GM_RETURN_NOT_OK(CheckFinite("prior means", prior_.means()));
+  return CheckFinite("prior variances", prior_.variances());
+}
+
+util::Status ReleasePackage::CheckCompiled() const {
+  if (plan_ == nullptr) {
+    return util::Status::FailedPrecondition("ReleasePackage: empty decoder");
   }
   return util::Status::OK();
 }
@@ -222,7 +241,7 @@ util::Result<linalg::Matrix> ReleasePackage::DecodeLatent(
 util::Status ReleasePackage::DecodeLatentInto(const linalg::Matrix& z,
                                               linalg::Matrix* out) const {
   P3GM_CHECK(out != nullptr);
-  P3GM_RETURN_NOT_OK(Validate());
+  P3GM_RETURN_NOT_OK(CheckCompiled());
   if (z.cols() != latent_dim()) {
     return util::Status::InvalidArgument(
         "ReleasePackage: latent dimension mismatch");
@@ -267,7 +286,7 @@ data::Dataset ReleasePackage::AssembleRows(linalg::Matrix outputs) const {
 
 util::Result<data::Dataset> ReleasePackage::Generate(std::size_t n,
                                                      util::Rng* rng) const {
-  P3GM_RETURN_NOT_OK(Validate());
+  P3GM_RETURN_NOT_OK(CheckCompiled());
   if (n == 0) {
     return util::Status::InvalidArgument("ReleasePackage: n must be > 0");
   }

@@ -121,9 +121,15 @@ class ReleasePackage {
   void ClearFingerprint() { fingerprint_.reset(); }
 
  private:
-  /// Shapes and prior/decoder agreement. A default-constructed package
-  /// fails here, so code past Validate() may rely on plan_.
+  /// Shapes, prior/decoder agreement and finite values in every decoder
+  /// tensor and prior parameter. A default-constructed package fails
+  /// here.
   util::Status Validate() const;
+
+  /// FailedPrecondition unless Finalize compiled plan_. Every decode
+  /// checks this instead of re-running Validate: only a validated
+  /// package gets a plan, and its tensors never change afterwards.
+  util::Status CheckCompiled() const;
 
   /// The shared tail of every factory and of Load: Validate(), then
   /// compile the decoder into the DecoderPlan every decode runs

@@ -8,29 +8,41 @@
 namespace p3gm {
 namespace core {
 
-PgmSynthesizer::PgmSynthesizer(const PgmOptions& options)
-    : options_(options) {}
+namespace {
 
-util::Status PgmSynthesizer::Fit(const data::Dataset& train) {
+std::string VariantName(const PgmOptions& options) {
+  if (!options.differentially_private) return "PGM";
+  return options.freeze_variance ? "P3GM(AE)" : "P3GM";
+}
+
+std::string VariantName(const VaeOptions& options) {
+  return options.differentially_private ? "DP-VAE" : "VAE";
+}
+
+}  // namespace
+
+template <typename Model, typename Options>
+util::Status ElboSynthesizer<Model, Options>::Fit(const data::Dataset& train) {
   if (model_) {
-    return util::Status::FailedPrecondition("PgmSynthesizer::Fit twice");
+    return util::Status::FailedPrecondition(name() + ": Fit called twice");
   }
   if (train.size() == 0) {
-    return util::Status::InvalidArgument("PgmSynthesizer: empty dataset");
+    return util::Status::InvalidArgument(name() + ": empty dataset");
   }
   num_classes_ = train.num_classes;
   dataset_name_ = train.name;
   const linalg::Matrix joint =
       data::AttachLabels(train.features, train.labels, num_classes_);
-  model_ = std::make_unique<Pgm>(options_);
+  model_ = std::make_unique<Model>(options_);
   return model_->Fit(joint);
 }
 
-util::Result<data::Dataset> PgmSynthesizer::Generate(std::size_t n,
-                                                     util::Rng* rng) {
+template <typename Model, typename Options>
+util::Result<data::Dataset> ElboSynthesizer<Model, Options>::Generate(
+    std::size_t n, util::Rng* rng) {
   if (!model_) {
-    return util::Status::FailedPrecondition(
-        "PgmSynthesizer: Generate before Fit");
+    return util::Status::FailedPrecondition(name() +
+                                            ": Generate before Fit");
   }
   const linalg::Matrix joint = model_->Sample(n, rng);
   data::LabeledRows rows = data::DetachLabels(joint, num_classes_);
@@ -42,7 +54,9 @@ util::Result<data::Dataset> PgmSynthesizer::Generate(std::size_t n,
   return out;
 }
 
-dp::DpGuarantee PgmSynthesizer::ComputeEpsilon(double delta) const {
+template <typename Model, typename Options>
+dp::DpGuarantee ElboSynthesizer<Model, Options>::ComputeEpsilon(
+    double delta) const {
   if (!model_) {
     dp::DpGuarantee g;
     g.delta = delta;
@@ -51,57 +65,13 @@ dp::DpGuarantee PgmSynthesizer::ComputeEpsilon(double delta) const {
   return model_->ComputeEpsilon(delta);
 }
 
-std::string PgmSynthesizer::name() const {
-  if (!options_.differentially_private) return "PGM";
-  return options_.freeze_variance ? "P3GM(AE)" : "P3GM";
+template <typename Model, typename Options>
+std::string ElboSynthesizer<Model, Options>::name() const {
+  return VariantName(options_);
 }
 
-VaeSynthesizer::VaeSynthesizer(const VaeOptions& options)
-    : options_(options) {}
-
-util::Status VaeSynthesizer::Fit(const data::Dataset& train) {
-  if (model_) {
-    return util::Status::FailedPrecondition("VaeSynthesizer::Fit twice");
-  }
-  if (train.size() == 0) {
-    return util::Status::InvalidArgument("VaeSynthesizer: empty dataset");
-  }
-  num_classes_ = train.num_classes;
-  dataset_name_ = train.name;
-  const linalg::Matrix joint =
-      data::AttachLabels(train.features, train.labels, num_classes_);
-  model_ = std::make_unique<Vae>(options_);
-  return model_->Fit(joint);
-}
-
-util::Result<data::Dataset> VaeSynthesizer::Generate(std::size_t n,
-                                                     util::Rng* rng) {
-  if (!model_) {
-    return util::Status::FailedPrecondition(
-        "VaeSynthesizer: Generate before Fit");
-  }
-  const linalg::Matrix joint = model_->Sample(n, rng);
-  data::LabeledRows rows = data::DetachLabels(joint, num_classes_);
-  data::Dataset out;
-  out.name = dataset_name_ + "+" + name();
-  out.num_classes = num_classes_;
-  out.features = std::move(rows.features);
-  out.labels = std::move(rows.labels);
-  return out;
-}
-
-dp::DpGuarantee VaeSynthesizer::ComputeEpsilon(double delta) const {
-  if (!model_) {
-    dp::DpGuarantee g;
-    g.delta = delta;
-    return g;
-  }
-  return model_->ComputeEpsilon(delta);
-}
-
-std::string VaeSynthesizer::name() const {
-  return options_.differentially_private ? "DP-VAE" : "VAE";
-}
+template class ElboSynthesizer<Pgm, PgmOptions>;
+template class ElboSynthesizer<Vae, VaeOptions>;
 
 util::Result<data::Dataset> GenerateWithLabelRatio(
     Synthesizer* synth, std::size_t n, const data::Dataset& reference,

@@ -36,11 +36,13 @@ class Synthesizer {
   virtual std::string name() const = 0;
 };
 
-/// Synthesizer backed by the phased generative model (PGM / P3GM /
-/// P3GM(AE), chosen via PgmOptions).
-class PgmSynthesizer : public Synthesizer {
+/// Synthesizer backed by one of the library's ELBO-trained models: Pgm
+/// (PGM / P3GM / P3GM(AE), chosen via PgmOptions) or Vae (VAE / DP-VAE
+/// via VaeOptions). Defined for exactly these two, by the aliases below.
+template <typename Model, typename Options>
+class ElboSynthesizer : public Synthesizer {
  public:
-  explicit PgmSynthesizer(const PgmOptions& options);
+  explicit ElboSynthesizer(const Options& options) : options_(options) {}
 
   util::Status Fit(const data::Dataset& train) override;
   util::Result<data::Dataset> Generate(std::size_t n,
@@ -49,35 +51,17 @@ class PgmSynthesizer : public Synthesizer {
   std::string name() const override;
 
   /// Underlying model (valid after Fit) for diagnostics / traces.
-  Pgm& model() { return *model_; }
+  Model& model() { return *model_; }
 
  private:
-  PgmOptions options_;
-  std::unique_ptr<Pgm> model_;
+  Options options_;
+  std::unique_ptr<Model> model_;
   std::size_t num_classes_ = 2;
   std::string dataset_name_;
 };
 
-/// Synthesizer backed by the end-to-end VAE (VAE / DP-VAE via
-/// VaeOptions).
-class VaeSynthesizer : public Synthesizer {
- public:
-  explicit VaeSynthesizer(const VaeOptions& options);
-
-  util::Status Fit(const data::Dataset& train) override;
-  util::Result<data::Dataset> Generate(std::size_t n,
-                                       util::Rng* rng) override;
-  dp::DpGuarantee ComputeEpsilon(double delta) const override;
-  std::string name() const override;
-
-  Vae& model() { return *model_; }
-
- private:
-  VaeOptions options_;
-  std::unique_ptr<Vae> model_;
-  std::size_t num_classes_ = 2;
-  std::string dataset_name_;
-};
+using PgmSynthesizer = ElboSynthesizer<Pgm, PgmOptions>;
+using VaeSynthesizer = ElboSynthesizer<Vae, VaeOptions>;
 
 /// Generates `n` rows whose label ratio matches `reference` (the paper's
 /// Section VI convention: "generate a dataset so that the label ratio is

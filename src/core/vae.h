@@ -11,6 +11,7 @@
 #include "nn/linear.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
+#include "stats/gmm.h"
 #include "util/result.h"
 #include "util/rng.h"
 
@@ -43,18 +44,22 @@ enum class DecoderType {
   kGaussian,
 };
 
-/// Configuration shared by VAE and DP-VAE.
+/// Configuration shared by VAE and DP-VAE. It is also the ELBO trainer's
+/// configuration (ElboNet), which P3GM's Decoding Phase fills from
+/// PgmOptions.
 struct VaeOptions {
   /// Hidden width of the one-hidden-layer encoder/decoder MLPs. The paper
   /// uses 1000; the benches default lower to fit the single-core budget.
   std::size_t hidden = 200;
-  /// Latent dimensionality d'.
+  /// Latent dimensionality d'. ElboNet ignores it when the encoder mean
+  /// is frozen: the frozen rows fix d'.
   std::size_t latent_dim = 10;
   std::size_t epochs = 10;
   std::size_t batch_size = 120;
   double learning_rate = 1e-3;
   /// Observation model of the reconstruction term.
   DecoderType decoder = DecoderType::kBernoulli;
+  /// Seeds Vae's generator (ElboNet draws from its caller's).
   std::uint64_t seed = 57;
 
   /// When true, trains with DP-SGD (this is the paper's DP-VAE baseline).
@@ -64,10 +69,81 @@ struct VaeOptions {
   double sgd_sigma = 1.5;
 };
 
+/// The three inputs that tell the ELBO variants apart. The defaults are
+/// the VAE; P3GM's Decoding Phase freezes the mean to f(x), takes the KL
+/// against its MoG prior, and pins the variance for P3GM(AE).
+struct ElboVariant {
+  /// Frozen encoder mean, one row per data row; null learns the mean.
+  const linalg::Matrix* frozen_mean = nullptr;
+  /// Prior of the KL term (Hershey–Olsen, MixturePriorKl); null is
+  /// N(0, I). A MoG prior needs a frozen mean: its KL has no mean grad.
+  const stats::GaussianMixture* prior = nullptr;
+  /// False pins sigma_phi(x) = 0: no encoder trains, z is the frozen
+  /// mean and the KL term drops out (Eq. (11)). Needs a frozen mean.
+  bool learn_variance = true;
+};
+
+/// The names one caller's ELBO fit reports under (docs/observability.md),
+/// each a string literal.
+struct ElboInstruments {
+  const char* epoch_span;
+  const char* batches;
+  const char* epoch;
+  const char* recon_loss;
+  const char* kl_loss;
+};
+
+/// The one ELBO trainer behind Vae (VAE, DP-VAE, each DP-GM cluster) and
+/// Pgm's Decoding Phase (PGM, P3GM, P3GM(AE)), with the paper's
+/// architecture: encoder FC [d, hidden] + ReLU feeding the optional mean
+/// head and the log-variance head, decoder FC [d', hidden, d] with ReLU.
+/// Each step samples a batch, reparameterizes, takes the reconstruction
+/// loss plus the KL term, backpropagates, and updates with Adam; with
+/// `differentially_private` the gradients are per-example clipped and
+/// noised (DP-SGD) and each step composes onto the caller's accountant.
+/// It branches on the ElboVariant inputs only.
+class ElboNet {
+ public:
+  ElboNet(const VaeOptions& options, const ElboInstruments& instruments);
+
+  /// Trains on rows of `x`, drawing from `rng` and composing each DP-SGD
+  /// step onto `accountant` under the "dp_sgd" ledger phase. Call once.
+  util::Status Fit(const linalg::Matrix& x, const ElboVariant& variant,
+                   util::Rng* rng, dp::RdpAccountant* accountant,
+                   const EpochCallback& callback);
+
+  /// Decodes latent rows: sigmoid outputs for the Bernoulli decoder,
+  /// outputs clamped to [0, 1] for the Gaussian one.
+  linalg::Matrix Decode(const linalg::Matrix& z);
+
+  /// Learned encoder mean rows for `x`. Requires a learned mean.
+  linalg::Matrix EncodeMean(const linalg::Matrix& x);
+
+  /// The decoder's affine weights {W1, b1, W2, b2}. Valid after Fit.
+  std::vector<linalg::Matrix> ExportDecoderWeights();
+
+  const IterationTrace& trace() const { return trace_; }
+  /// Rows fitted on and DP-SGD steps taken, for accounting.
+  std::size_t data_size() const { return data_size_; }
+  std::size_t sgd_steps() const { return sgd_steps_; }
+
+ private:
+  VaeOptions options_;
+  ElboInstruments instruments_;
+  nn::Sequential trunk_;
+  std::unique_ptr<nn::Linear> mean_head_;
+  std::unique_ptr<nn::Linear> logvar_head_;
+  nn::Sequential decoder_;
+  nn::Adam optimizer_;
+  IterationTrace trace_;
+  std::size_t data_size_ = 0;
+  std::size_t sgd_steps_ = 0;
+  bool fitted_ = false;
+};
+
 /// Variational autoencoder (Kingma & Welling) with the paper's
-/// architecture: encoder FC [d, hidden, d'] with ReLU producing mean and
-/// log-variance heads, Bernoulli decoder FC [d', hidden, d]. Trains
-/// end-to-end on the ELBO with Adam; with
+/// architecture: the ElboNet with a learned mean and the N(0, I) prior.
+/// Trains end-to-end on the ELBO with Adam; with
 /// `options.differentially_private` gradients are per-example clipped and
 /// noised (DP-SGD), which is exactly the paper's DP-VAE baseline.
 ///
@@ -84,10 +160,12 @@ class Vae {
   linalg::Matrix Sample(std::size_t n, util::Rng* rng);
 
   /// Decodes the given latent rows.
-  linalg::Matrix Decode(const linalg::Matrix& z);
+  linalg::Matrix Decode(const linalg::Matrix& z) { return net_.Decode(z); }
 
   /// Encoder mean rows for `x` (diagnostics).
-  linalg::Matrix EncodeMean(const linalg::Matrix& x);
+  linalg::Matrix EncodeMean(const linalg::Matrix& x) {
+    return net_.EncodeMean(x);
+  }
 
   /// Privacy cost of the performed training under (epsilon, delta)-DP.
   /// Returns epsilon = 0 for the non-private configuration.
@@ -99,11 +177,13 @@ class Vae {
   const dp::RdpAccountant& accountant() const { return accountant_; }
 
   /// Per-iteration reconstruction losses recorded during Fit (Fig. 7a/b).
-  const IterationTrace& trace() const { return trace_; }
+  const IterationTrace& trace() const { return net_.trace(); }
 
   /// Exports the decoder's affine weights {W1, b1, W2, b2} for packaging
   /// into a ReleasePackage. Valid after Fit.
-  std::vector<linalg::Matrix> ExportDecoderWeights();
+  std::vector<linalg::Matrix> ExportDecoderWeights() {
+    return net_.ExportDecoderWeights();
+  }
 
   const VaeOptions& options() const { return options_; }
 
@@ -111,15 +191,7 @@ class Vae {
   VaeOptions options_;
   util::Rng rng_;
   dp::RdpAccountant accountant_;
-  nn::Sequential encoder_trunk_;
-  std::unique_ptr<nn::Linear> mu_head_;
-  std::unique_ptr<nn::Linear> logvar_head_;
-  nn::Sequential decoder_;
-  nn::Adam optimizer_;
-  IterationTrace trace_;
-  std::size_t data_size_ = 0;
-  std::size_t sgd_steps_taken_ = 0;
-  bool fitted_ = false;
+  ElboNet net_;
 };
 
 }  // namespace core

@@ -9,15 +9,6 @@ namespace quality {
 
 namespace {
 
-/// Process-wide thread index, flight-recorder style: stable for the
-/// thread's lifetime, assigned on first use.
-std::size_t ThreadIndex() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t id =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
 /// F_ref(x) estimated from the fingerprint's evenly rank-spaced
 /// quantile values: the fraction of grid values <= x. Correct up to
 /// grid resolution even when the reference has atoms.
@@ -40,13 +31,6 @@ QualityMonitor::QualityMonitor(std::shared_ptr<const Fingerprint> fingerprint,
       num_classes_(num_classes),
       options_(options) {
   if (options_.stride == 0) options_.stride = 1;
-  for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
-}
-
-QualityMonitor::~QualityMonitor() {
-  for (auto& slot : slots_) {
-    delete slot.load(std::memory_order_acquire);
-  }
 }
 
 QualityMonitor::SketchSet QualityMonitor::NewSketchSet() const {
@@ -58,21 +42,6 @@ QualityMonitor::SketchSet QualityMonitor::NewSketchSet() const {
   }
   set.labels = CategoricalSketch(num_classes_);
   return set;
-}
-
-QualityMonitor::Slot* QualityMonitor::LocalSlot() {
-  const std::size_t index = ThreadIndex() % kMaxSlots;
-  Slot* slot = slots_[index].load(std::memory_order_acquire);
-  if (slot != nullptr) return slot;
-  Slot* fresh = new Slot;
-  fresh->set = NewSketchSet();
-  Slot* expected = nullptr;
-  if (slots_[index].compare_exchange_strong(expected, fresh,
-                                            std::memory_order_acq_rel)) {
-    return fresh;
-  }
-  delete fresh;  // Another thread mapped to the same slot first.
-  return expected;
 }
 
 void QualityMonitor::FoldDecodedRow(SketchSet* set, const double* row,
@@ -102,10 +71,10 @@ void QualityMonitor::ObserveDecoded(const linalg::Matrix& outputs) {
   const std::uint64_t stride = options_.stride;
   std::uint64_t next = ((start + stride - 1) / stride) * stride;
   if (next >= start + outputs.rows()) return;
-  Slot* slot = LocalSlot();
-  std::lock_guard<std::mutex> lock(slot->mu);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!set_) set_ = NewSketchSet();
   for (; next < start + outputs.rows(); next += stride) {
-    FoldDecodedRow(&slot->set,
+    FoldDecodedRow(&*set_,
                    outputs.row_data(static_cast<std::size_t>(next - start)),
                    feature_dim_, num_classes_);
   }
@@ -115,34 +84,33 @@ void QualityMonitor::ObserveDataset(const linalg::Matrix& features,
                                     const std::vector<std::size_t>& labels) {
   if (features.cols() != feature_dim_) return;
   rows_seen_.fetch_add(features.rows(), std::memory_order_relaxed);
-  Slot* slot = LocalSlot();
-  std::lock_guard<std::mutex> lock(slot->mu);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!set_) set_ = NewSketchSet();
   for (std::size_t r = 0; r < features.rows(); ++r) {
     const double* row = features.row_data(r);
     for (std::size_t c = 0; c < feature_dim_; ++c) {
-      slot->set.quantiles[c].Add(row[c]);
-      slot->set.moments[c].Add(row[c]);
+      set_->quantiles[c].Add(row[c]);
+      set_->moments[c].Add(row[c]);
     }
     if (num_classes_ > 0 && r < labels.size()) {
-      slot->set.labels.Add(labels[r]);
+      set_->labels.Add(labels[r]);
     }
-    ++slot->set.rows;
+    ++set_->rows;
   }
 }
 
 QualityMonitor::SketchSet QualityMonitor::MergedSnapshot() const {
+  // Snapshot by merging into a fresh set, not by copying: the merge's
+  // compaction is part of what Score() measures.
   SketchSet merged = NewSketchSet();
-  for (const auto& entry : slots_) {
-    const Slot* slot = entry.load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
-    std::lock_guard<std::mutex> lock(slot->mu);
-    for (std::size_t c = 0; c < feature_dim_; ++c) {
-      merged.quantiles[c].Merge(slot->set.quantiles[c]);
-      merged.moments[c].Merge(slot->set.moments[c]);
-    }
-    merged.labels.Merge(slot->set.labels);
-    merged.rows += slot->set.rows;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!set_) return merged;
+  for (std::size_t c = 0; c < feature_dim_; ++c) {
+    merged.quantiles[c].Merge(set_->quantiles[c]);
+    merged.moments[c].Merge(set_->moments[c]);
   }
+  merged.labels.Merge(set_->labels);
+  merged.rows += set_->rows;
   return merged;
 }
 
@@ -186,16 +154,11 @@ DriftReport QualityMonitor::Score() const {
 
 std::size_t QualityMonitor::MemoryBytes() const {
   std::size_t bytes = sizeof(*this);
-  for (const auto& entry : slots_) {
-    const Slot* slot = entry.load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
-    std::lock_guard<std::mutex> lock(slot->mu);
-    for (const QuantileSketch& q : slot->set.quantiles) {
-      bytes += q.MemoryBytes();
-    }
-    bytes += slot->set.moments.size() * sizeof(MomentsSketch);
-    bytes += slot->set.labels.num_bins() * sizeof(std::uint64_t);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!set_) return bytes;
+  for (const QuantileSketch& q : set_->quantiles) bytes += q.MemoryBytes();
+  bytes += set_->moments.size() * sizeof(MomentsSketch);
+  bytes += set_->labels.num_bins() * sizeof(std::uint64_t);
   return bytes;
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -63,24 +64,20 @@ struct DriftReport {
   double drift() const { return worst_ks > label_tv ? worst_ks : label_tv; }
 };
 
-/// Streaming quality monitor for one served model. Writers (the batcher
-/// worker, or many threads in tests) fold decoded rows into per-thread
-/// sketch slots — flight-recorder style, each thread owns a slot keyed
-/// by a process-wide thread index, so concurrent writers never contend
-/// with each other; a slot's mutex is only ever contested by the rare
-/// scrape that merges all slots into a snapshot. Memory is bounded:
-/// at most kMaxSlots slots, each O(feature_dim * quantile_k * log n).
+/// Streaming quality monitor for one served model. Writers fold decoded
+/// rows into one sketch set under one mutex: the serve path folds only
+/// from the batcher's single worker thread and `p3gm quality --score`
+/// from one thread, so the mutex is only ever contested by the rare
+/// scrape that snapshots the set. Memory is bounded: one set,
+/// O(feature_dim * quantile_k * log n).
 class QualityMonitor {
  public:
-  static constexpr std::size_t kMaxSlots = 64;
-
   /// `fingerprint` may be null: the monitor still accumulates sketches
   /// (rows_observed, live marginals) but Score() reports
   /// has_fingerprint = false and zero drift.
   QualityMonitor(std::shared_ptr<const Fingerprint> fingerprint,
                  std::size_t feature_dim, std::size_t num_classes,
                  MonitorOptions options = {});
-  ~QualityMonitor();
 
   QualityMonitor(const QualityMonitor&) = delete;
   QualityMonitor& operator=(const QualityMonitor&) = delete;
@@ -96,15 +93,15 @@ class QualityMonitor {
   void ObserveDataset(const linalg::Matrix& features,
                       const std::vector<std::size_t>& labels);
 
-  /// Merges all slots and scores the merged sketches against the
-  /// fingerprint. Safe to call concurrently with writers.
+  /// Merges the sketch set into a fresh one and scores that snapshot
+  /// against the fingerprint. Safe to call concurrently with writers.
   DriftReport Score() const;
 
   std::uint64_t rows_seen() const {
     return rows_seen_.load(std::memory_order_relaxed);
   }
 
-  /// Current footprint of all slot sketches, for the bookkeeping gauge.
+  /// Current footprint of the sketch set, for the bookkeeping gauge.
   std::size_t MemoryBytes() const;
 
   const Fingerprint* fingerprint() const { return fingerprint_.get(); }
@@ -119,12 +116,7 @@ class QualityMonitor {
     CategoricalSketch labels;
     std::uint64_t rows = 0;
   };
-  struct Slot {
-    mutable std::mutex mu;
-    SketchSet set;
-  };
 
-  Slot* LocalSlot();
   SketchSet NewSketchSet() const;
   SketchSet MergedSnapshot() const;
   /// Folds one decoded row (features + optional one-hot block).
@@ -137,7 +129,11 @@ class QualityMonitor {
   std::size_t num_classes_;
   MonitorOptions options_;
   std::atomic<std::uint64_t> rows_seen_{0};
-  std::atomic<Slot*> slots_[kMaxSlots];
+  mutable std::mutex mu_;
+  // Guarded by mu_. Allocated by the first fold, on the writer's thread:
+  // allocating it in the constructor, on the thread that builds the
+  // monitor, measurably raised the serve_bulk benchmark's peak RSS.
+  std::optional<SketchSet> set_;
 };
 
 }  // namespace quality

@@ -38,6 +38,14 @@ util::Result<linalg::EigenDecomposition> LeadingEigen(
   return linalg::TopKEigenSym(cov, k, /*iters=*/100);
 }
 
+bool AllFinite(const linalg::Matrix& x) {
+  const double* data = x.data();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!std::isfinite(data[i])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 linalg::Matrix PcaModel::Transform(const linalg::Matrix& x) const {
@@ -82,6 +90,9 @@ util::Result<PcaModel> FitPca(const linalg::Matrix& x,
   if (x.rows() == 0 || x.cols() == 0) {
     return util::Status::InvalidArgument("FitPca: empty data");
   }
+  if (!AllFinite(x)) {
+    return util::Status::InvalidArgument("FitPca: non-finite data");
+  }
   if (num_components == 0 || num_components > x.cols()) {
     return util::Status::InvalidArgument(
         "FitPca: num_components must be in [1, d]");
@@ -99,6 +110,11 @@ util::Result<PcaModel> FitDpPca(const linalg::Matrix& x,
   P3GM_TRACE_SPAN("dp_pca.fit");
   if (x.rows() == 0 || x.cols() == 0) {
     return util::Status::InvalidArgument("FitDpPca: empty data");
+  }
+  // Before any RNG draw or accountant charge: a NaN row would otherwise
+  // pass the top-k path (d > kDenseEigenLimit) as NaN components.
+  if (!AllFinite(x)) {
+    return util::Status::InvalidArgument("FitDpPca: non-finite data");
   }
   if (options.num_components == 0 || options.num_components > x.cols()) {
     return util::Status::InvalidArgument(

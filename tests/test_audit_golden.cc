@@ -66,6 +66,17 @@ TEST(DpPcaGoldenTest, MatchesCheckedInGoldenAtAnyThreadCount) {
   util::SetNumThreads(0);
 }
 
+TEST(ElboGoldenTest, MatchesCheckedInGoldenAtAnyThreadCount) {
+  const std::string path =
+      std::string(P3GM_GOLDEN_DIR) + "/elbo_small.golden";
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    util::SetNumThreads(threads);
+    const GoldenCompareResult r = CompareGoldenElbo(path);
+    EXPECT_TRUE(r.ok) << threads << " threads: " << r.message;
+  }
+  util::SetNumThreads(0);
+}
+
 }  // namespace
 }  // namespace audit
 }  // namespace p3gm

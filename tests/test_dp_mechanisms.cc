@@ -246,7 +246,9 @@ TEST(WishartTest, MeanIsDfTimesScale) {
   for (std::size_t i = 0; i < d; ++i) {
     EXPECT_NEAR(mean(i, i), df * c, 0.1);
     for (std::size_t j = 0; j < d; ++j) {
-      if (i != j) EXPECT_NEAR(mean(i, j), 0.0, 0.05);
+      if (i != j) {
+        EXPECT_NEAR(mean(i, j), 0.0, 0.05);
+      }
     }
   }
 }

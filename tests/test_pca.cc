@@ -208,6 +208,45 @@ TEST(DpPcaTest, DeterministicGivenRngState) {
   EXPECT_EQ(a->components(), b->components());
 }
 
+// Non-finite data fails both fits with InvalidArgument at d = 12 (dense
+// eigensolve) and d = 200 (top-k path), before DP-PCA draws from its
+// generator or charges its accountant.
+TEST(PcaFiniteTest, RejectsNonFiniteDataOnBothEigenPaths) {
+  for (const std::size_t d : {std::size_t{12}, std::size_t{200}}) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      util::Rng data_rng(53);
+      linalg::Matrix x(40, d);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x.data()[i] = data_rng.Uniform();
+      }
+      x(7, d - 1) = bad;
+
+      const auto exact = FitPca(x, 3);
+      ASSERT_FALSE(exact.ok()) << d << " " << bad;
+      EXPECT_EQ(exact.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(exact.status().message().find("non-finite"),
+                std::string::npos)
+          << exact.status().message();
+
+      DpPcaOptions opt;
+      opt.num_components = 3;
+      opt.epsilon = 1.0;
+      dp::RdpAccountant accountant;
+      opt.accountant = &accountant;
+      util::Rng rng(59), untouched(59);
+      const auto noisy = FitDpPca(x, opt, &rng);
+      ASSERT_FALSE(noisy.ok()) << d << " " << bad;
+      EXPECT_EQ(noisy.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(noisy.status().message().find("non-finite"),
+                std::string::npos)
+          << noisy.status().message();
+      EXPECT_EQ(rng.NextU64(), untouched.NextU64());
+      for (const double rdp : accountant.rdp()) EXPECT_EQ(rdp, 0.0);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pca
 }  // namespace p3gm

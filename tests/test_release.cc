@@ -1,6 +1,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "core/release.h"
@@ -251,6 +255,83 @@ TEST(ReleaseEdgeTest, GenerateZeroRowsFails) {
   ASSERT_TRUE(pkg.ok());
   util::Rng rng(13);
   EXPECT_FALSE(pkg->Generate(0, &rng).ok());
+}
+
+// ------------------------------------------------ non-finite values
+
+// The parts of a valid latent 2 -> hidden 3 -> 4 package with a
+// two-component prior. b2's last entry is a sentinel whose bytes occur
+// once in a saved file. Each test poisons one value.
+struct FiniteParts {
+  static constexpr double kSentinel = 0.8125;
+  linalg::Matrix w1 = linalg::Matrix(2, 3, 0.1);
+  linalg::Matrix b1 = linalg::Matrix(1, 3, 0.0);
+  linalg::Matrix w2 = linalg::Matrix(3, 4, -0.1);
+  linalg::Matrix b2 = {{0.05, 0.05, 0.05, kSentinel}};
+  linalg::Matrix means = linalg::Matrix(2, 2, 0.25);
+  linalg::Matrix variances = linalg::Matrix(2, 2, 1.5);
+
+  util::Result<core::ReleasePackage> Build() const {
+    P3GM_ASSIGN_OR_RETURN(
+        stats::GaussianMixture prior,
+        stats::GaussianMixture::Create({0.5, 0.5}, means, variances));
+    return core::ReleasePackage::FromParts("finite", 0,
+                                           core::DecoderType::kBernoulli,
+                                           std::move(prior), w1, b1, w2, b2);
+  }
+};
+
+TEST(ReleaseFiniteTest, FromPartsRejectsNonFiniteValues) {
+  ASSERT_TRUE(FiniteParts().Build().ok());
+  const char* tensors[] = {"W2", "b1", "prior means", "prior variances"};
+  for (int i = 0; i < 4; ++i) {
+    FiniteParts parts;
+    double* poisoned[] = {&parts.w2(1, 2), &parts.b1(0, 0),
+                          &parts.means(1, 0), &parts.variances(0, 1)};
+    *poisoned[i] = i == 1 ? std::numeric_limits<double>::infinity()
+                          : std::numeric_limits<double>::quiet_NaN();
+    const auto pkg = parts.Build();
+    ASSERT_FALSE(pkg.ok()) << tensors[i];
+    EXPECT_EQ(pkg.status().code(), util::StatusCode::kInvalidArgument)
+        << pkg.status();
+    EXPECT_NE(pkg.status().message().find(tensors[i]), std::string::npos)
+        << pkg.status();
+  }
+}
+
+// The saved file of a valid package round-trips; the same bytes with one
+// weight patched to NaN fail Load.
+TEST(ReleaseFiniteTest, LoadRejectsPatchedNanWeight) {
+  const auto pkg = FiniteParts().Build();
+  ASSERT_TRUE(pkg.ok()) << pkg.status();
+  const std::string path = ::testing::TempDir() + "/p3gm_nan.release";
+  ASSERT_TRUE(pkg->Save(path).ok());
+  const auto valid = core::ReleasePackage::Load(path);
+  ASSERT_TRUE(valid.ok()) << valid.status();
+  const linalg::Matrix z(3, 2, 0.5);
+  EXPECT_EQ(*valid->DecodeLatent(z), *pkg->DecodeLatent(z));
+
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  in.close();
+  const double sentinel = FiniteParts::kSentinel;
+  const std::string needle(reinterpret_cast<const char*>(&sentinel),
+                           sizeof(double));
+  const std::size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bytes.replace(at, sizeof(double), reinterpret_cast<const char*>(&nan),
+                sizeof(double));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+  const auto loaded = core::ReleasePackage::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+      << loaded.status();
+  EXPECT_NE(loaded.status().message().find("b2"), std::string::npos)
+      << loaded.status();
 }
 
 }  // namespace
