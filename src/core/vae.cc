@@ -200,7 +200,7 @@ util::Status ElboNet::Fit(const linalg::Matrix& x, const ElboVariant& variant,
         } else {
           dh = logvar_head_->Backward(dlogvar, !dp);
         }
-        trunk_.Backward(dh, !dp);
+        trunk_.BackwardNoInput(dh, !dp);
       }
 
       if (dp) {

@@ -108,9 +108,9 @@ void FusedLayerScalar(const double* a, std::size_t a_stride,
       double* cpanel = crow + p * kPanelWidth;
       for (std::size_t k = 0; k < k_dim; ++k) {
         const double av = arow[k];
-        // The reference gemm skips zero multipliers (linalg::Matmul);
-        // the skip is part of the contract so NaN/Inf weights behave
-        // identically, and it is what makes the post-ReLU layer cheap.
+        // Skipping a zero multiplier is bit-neutral for finite weights
+        // (docs/inference.md), and it is what makes the post-ReLU layer
+        // cheap.
         if (av == 0.0) continue;
         const double* brow = panel + k * kPanelWidth;
         for (std::size_t jj = 0; jj < kPanelWidth; ++jj) {

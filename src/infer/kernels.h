@@ -82,8 +82,9 @@ PackedLayer PackLayer(const linalg::Matrix& weight,
                       const linalg::Matrix& bias, Activation act);
 
 /// Runs `rows` rows of the fused layer: scratch = a * W (ascending-k
-/// mul-then-add accumulation, bit-identical to linalg::Matmul), then
-/// dst = act(scratch + bias) over the leading `out` columns.
+/// mul-then-add accumulation, bit-identical to linalg::Matmul for finite
+/// weights), then dst = act(scratch + bias) over the leading `out`
+/// columns.
 ///
 ///  * `a`: rows x layer.in, row stride `a_stride` (>= layer.in).
 ///  * `scratch`: rows x layer.padded_out accumulation buffer, row

@@ -14,11 +14,7 @@ namespace linalg {
 
 namespace {
 
-// Minimum rows per worker for the O(rows * k * n) gemm kernels and for
-// the O(rows * cols) element-wise kernels. Small enough to engage the
-// pool on training-size batches, large enough that a block amortizes the
-// dispatch cost.
-constexpr std::size_t kGemmRowGrain = 8;
+// Minimum rows per worker for the O(rows * cols) element-wise kernels.
 constexpr std::size_t kRowGrain = 64;
 
 // Minimum multiply-adds per MatVec block: a 784 x 784 power-iteration
@@ -26,13 +22,21 @@ constexpr std::size_t kRowGrain = 64;
 // synthetic generators run inline.
 constexpr std::size_t kMatVecMinWork = std::size_t{1} << 16;
 
-// Syrk blocking. kSyrkRowBlock data rows are repacked into k-major
-// panels of kSyrkTile columns; a panel (256 x 4 doubles, 8 KiB) stays in
-// L1 while a tile sweeps its row of the triangle, and a whole block of
-// 784 columns (1.6 MB) stays in L2/L3 for the sweep.
-constexpr std::size_t kSyrkTile = 4;
+// The product kernels run kTile x kTile register tiles over k-major
+// panels of kTile columns. Syrk repacks kSyrkRowBlock data rows at a
+// time; a panel (256 x 4 doubles, 8 KiB) stays in L1 while a tile sweeps
+// its row of the triangle, and a whole block of 784 columns (1.6 MB)
+// stays in L2/L3 for the sweep.
+constexpr std::size_t kTile = 4;
 constexpr std::size_t kSyrkRowBlock = 256;
 constexpr std::size_t kSyrkTileGrain = 8;
+
+// Gemm depth blocking: a worker packs at most kGemmDepth rows of a left
+// panel (8 KiB, on its stack) and sweeps them across every right panel.
+// kGemmMinWork is the fewest multiply-adds a pool block may get, so the
+// b x 100 x 10 products of the d' = 10 heads run inline.
+constexpr std::size_t kGemmDepth = 256;
+constexpr std::size_t kGemmMinWork = std::size_t{1} << 19;
 
 // Two doubles in one SIMD register (SSE2 on x86-64, NEON on AArch64).
 // The lanes never interact, so each holds an independent output element.
@@ -44,43 +48,155 @@ inline Double2 Load2(const double* p) {
   return v;
 }
 
-inline void Store2(Double2 v, double* p) { std::memcpy(p, &v, sizeof(v)); }
+inline Double2 Swap2(Double2 v) { return Double2{v[1], v[0]}; }
 
-// c += pi^T pj for one kSyrkTile x kSyrkTile tile over `rows` packed
-// rows: c[r][t] += pi[p][r] * pj[p][t] for p ascending, a multiply then
-// an add per term (this TU is built with -ffp-contract=off).
-void SyrkTile(const double* pi, const double* pj, std::size_t rows,
-              double c[kSyrkTile][kSyrkTile]) {
-  static_assert(kSyrkTile == 4, "SyrkTile is written out for 4 x 4 tiles");
-  Double2 c00 = Load2(&c[0][0]), c01 = Load2(&c[0][2]);
-  Double2 c10 = Load2(&c[1][0]), c11 = Load2(&c[1][2]);
-  Double2 c20 = Load2(&c[2][0]), c21 = Load2(&c[2][2]);
-  Double2 c30 = Load2(&c[3][0]), c31 = Load2(&c[3][2]);
+inline void Unpair(Double2 v, double* lo, double* hi) {
+  *lo = v[0];
+  *hi = v[1];
+}
+
+// c += pi^T pj for one kTile x kTile tile over `rows` packed rows:
+// c[r * ldc + t] += pi[p][r] * pj[p][t] for p ascending, a multiply then
+// an add per term (this TU is built with -ffp-contract=off). Each
+// register pairs two elements on a diagonal, e.g. d1 = (c[0][1],
+// c[1][0]), so a step multiplies (a0, a1) and (a2, a3) by (b0, b1),
+// (b1, b0), (b2, b3) and (b3, b2): two shuffles per step instead of four
+// broadcasts.
+void TileMulAdd(const double* pi, const double* pj, std::size_t rows,
+                double* c, std::size_t ldc) {
+  static_assert(kTile == 4, "TileMulAdd is written out for 4 x 4 tiles");
+  double* c0 = c;
+  double* c1 = c + ldc;
+  double* c2 = c + 2 * ldc;
+  double* c3 = c + 3 * ldc;
+  Double2 d0 = {c0[0], c1[1]}, d1 = {c0[1], c1[0]};
+  Double2 d2 = {c0[2], c1[3]}, d3 = {c0[3], c1[2]};
+  Double2 d4 = {c2[0], c3[1]}, d5 = {c2[1], c3[0]};
+  Double2 d6 = {c2[2], c3[3]}, d7 = {c2[3], c3[2]};
   for (std::size_t p = 0; p < rows; ++p) {
-    const double* a = pi + p * kSyrkTile;
-    const Double2 b0 = Load2(pj + p * kSyrkTile);
-    const Double2 b1 = Load2(pj + p * kSyrkTile + 2);
-    const Double2 a0 = {a[0], a[0]};
-    const Double2 a1 = {a[1], a[1]};
-    const Double2 a2 = {a[2], a[2]};
-    const Double2 a3 = {a[3], a[3]};
-    c00 += a0 * b0;
-    c01 += a0 * b1;
-    c10 += a1 * b0;
-    c11 += a1 * b1;
-    c20 += a2 * b0;
-    c21 += a2 * b1;
-    c30 += a3 * b0;
-    c31 += a3 * b1;
+    const Double2 a01 = Load2(pi + p * kTile);
+    const Double2 a23 = Load2(pi + p * kTile + 2);
+    const Double2 b01 = Load2(pj + p * kTile);
+    const Double2 b23 = Load2(pj + p * kTile + 2);
+    const Double2 b10 = Swap2(b01);
+    const Double2 b32 = Swap2(b23);
+    d0 += a01 * b01;
+    d1 += a01 * b10;
+    d2 += a01 * b23;
+    d3 += a01 * b32;
+    d4 += a23 * b01;
+    d5 += a23 * b10;
+    d6 += a23 * b23;
+    d7 += a23 * b32;
   }
-  Store2(c00, &c[0][0]);
-  Store2(c01, &c[0][2]);
-  Store2(c10, &c[1][0]);
-  Store2(c11, &c[1][2]);
-  Store2(c20, &c[2][0]);
-  Store2(c21, &c[2][2]);
-  Store2(c30, &c[3][0]);
-  Store2(c31, &c[3][2]);
+  Unpair(d0, &c0[0], &c1[1]);
+  Unpair(d1, &c0[1], &c1[0]);
+  Unpair(d2, &c0[2], &c1[3]);
+  Unpair(d3, &c0[3], &c1[2]);
+  Unpair(d4, &c2[0], &c3[1]);
+  Unpair(d5, &c2[1], &c3[0]);
+  Unpair(d6, &c2[2], &c3[3]);
+  Unpair(d7, &c2[3], &c3[2]);
+}
+
+// Runs TileMulAdd on the kTile x kTile block of `c` at (i0, j0), carrying
+// the block's current values as the partial sums, so a sum split over
+// several calls still runs p in ascending order. A tile that crosses the
+// edge of `c` runs on a copy whose entries past the edge start at +0.0
+// and are dropped.
+void UpdateTile(const double* pi, const double* pj, std::size_t rows,
+                std::size_t i0, std::size_t j0, Matrix* c) {
+  const std::size_t ni = std::min(kTile, c->rows() - i0);
+  const std::size_t nj = std::min(kTile, c->cols() - j0);
+  if (ni == kTile && nj == kTile) {
+    TileMulAdd(pi, pj, rows, c->row_data(i0) + j0, c->cols());
+    return;
+  }
+  double acc[kTile * kTile] = {};
+  for (std::size_t r = 0; r < ni; ++r) {
+    for (std::size_t s = 0; s < nj; ++s) {
+      acc[r * kTile + s] = (*c)(i0 + r, j0 + s);
+    }
+  }
+  TileMulAdd(pi, pj, rows, acc, kTile);
+  for (std::size_t r = 0; r < ni; ++r) {
+    for (std::size_t s = 0; s < nj; ++s) {
+      (*c)(i0 + r, j0 + s) = acc[r * kTile + s];
+    }
+  }
+}
+
+// How a gemm reads one operand: element (p, i) of the operand, where p
+// runs over the summed dimension and i over the output rows (left) or
+// columns (right), is data[p * p_stride + i * i_stride].
+struct Operand {
+  const double* data;
+  std::size_t p_stride;
+  std::size_t i_stride;
+};
+
+// Copies rows [p0, p1) of columns [i0, i0 + kTile) of `x` into a k-major
+// panel. Columns at or past `cols` are +0.0 padding; they reach only tile
+// entries that UpdateTile drops.
+void PackPanel(const Operand& x, std::size_t p0, std::size_t p1,
+               std::size_t i0, std::size_t cols, double* panel) {
+  const std::size_t w = std::min(kTile, cols - i0);
+  const std::size_t s = x.i_stride;
+  const double* src = x.data + p0 * x.p_stride + i0 * s;
+  for (std::size_t p = p0; p < p1; ++p, src += x.p_stride, panel += kTile) {
+    if (w == kTile) {
+      panel[0] = src[0];
+      panel[1] = src[s];
+      panel[2] = src[2 * s];
+      panel[3] = src[3 * s];
+    } else {
+      for (std::size_t t = 0; t < kTile; ++t) {
+        panel[t] = t < w ? src[t * s] : 0.0;
+      }
+    }
+  }
+}
+
+// The gemm family: C (m x n) with C_ij = sum_p left(p, i) * right(p, j)
+// over p ascending from +0.0. The three Matmul variants differ only in
+// how they read their operands.
+//
+// The whole right panels are packed once per call, into a buffer no
+// larger than the operand; a ragged last panel is packed by each worker.
+// Left panels are dealt evenly over the pool, and each worker writes
+// only the output rows of its own panels. The depth is split into equal
+// blocks of at most kGemmDepth rows; per block a worker packs one left
+// panel at a time onto its stack and sweeps it across every right panel.
+Matrix Gemm(std::size_t m, std::size_t k, std::size_t n, const Operand& left,
+            const Operand& right) {
+  Matrix c(m, n);
+  const std::size_t full = n / kTile;
+  const std::size_t panels = (n + kTile - 1) / kTile;
+  std::vector<double> packed(full * k * kTile);
+  for (std::size_t jp = 0; jp < full; ++jp) {
+    PackPanel(right, 0, k, jp * kTile, n, &packed[jp * k * kTile]);
+  }
+  const std::size_t blocks = (k + kGemmDepth - 1) / kGemmDepth;
+  const std::size_t grain = kGemmMinWork / (kTile * k * n + 1) + 1;
+  util::ParallelFor(
+      0, (m + kTile - 1) / kTile, grain, [&](std::size_t ib, std::size_t ie) {
+        double lp[kGemmDepth * kTile] = {};
+        double rp[kGemmDepth * kTile] = {};
+        for (std::size_t kb = 0; kb < blocks; ++kb) {
+          const std::size_t p0 = kb * k / blocks;
+          const std::size_t p1 = (kb + 1) * k / blocks;
+          if (full < panels) PackPanel(right, p0, p1, full * kTile, n, rp);
+          for (std::size_t ip = ib; ip < ie; ++ip) {
+            PackPanel(left, p0, p1, ip * kTile, m, lp);
+            for (std::size_t jp = 0; jp < panels; ++jp) {
+              const double* pj =
+                  jp < full ? &packed[(jp * k + p0) * kTile] : rp;
+              UpdateTile(lp, pj, p1 - p0, ip * kTile, jp * kTile, &c);
+            }
+          }
+        }
+      });
+  return c;
 }
 
 }  // namespace
@@ -88,67 +204,22 @@ void SyrkTile(const double* pi, const double* pj, std::size_t rows,
 Matrix Matmul(const Matrix& a, const Matrix& b) {
   P3GM_TRACE_SPAN("linalg.gemm");
   P3GM_CHECK(a.cols() == b.rows());
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  Matrix c(m, n);
-  // Each worker owns a disjoint block of output rows; per element the
-  // accumulation order over p is ascending, so the result is
-  // bit-identical for any thread count.
-  util::ParallelFor(0, m, kGemmRowGrain, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t i = rb; i < re; ++i) {
-      const double* arow = a.row_data(i);
-      double* crow = c.row_data(i);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        const double* brow = b.row_data(p);
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-  return c;
+  return Gemm(a.rows(), a.cols(), b.cols(), {a.data(), 1, a.cols()},
+              {b.data(), b.cols(), 1});
 }
 
 Matrix MatmulTransA(const Matrix& a, const Matrix& b) {
   P3GM_TRACE_SPAN("linalg.gemm_ta");
   P3GM_CHECK(a.rows() == b.rows());
-  const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
-  Matrix c(m, n);
-  // Parallel over output rows (columns of A); p stays the outer serial
-  // loop inside each block so every element still accumulates over p in
-  // ascending order and B's rows are streamed sequentially.
-  util::ParallelFor(0, m, kGemmRowGrain, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const double* arow = a.row_data(p);
-      const double* brow = b.row_data(p);
-      for (std::size_t i = rb; i < re; ++i) {
-        const double av = arow[i];
-        if (av == 0.0) continue;
-        double* crow = c.row_data(i);
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-  return c;
+  return Gemm(a.cols(), a.rows(), b.cols(), {a.data(), a.cols(), 1},
+              {b.data(), b.cols(), 1});
 }
 
 Matrix MatmulTransB(const Matrix& a, const Matrix& b) {
   P3GM_TRACE_SPAN("linalg.gemm_tb");
   P3GM_CHECK(a.cols() == b.cols());
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  Matrix c(m, n);
-  util::ParallelFor(0, m, kGemmRowGrain, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t i = rb; i < re; ++i) {
-      const double* arow = a.row_data(i);
-      double* crow = c.row_data(i);
-      for (std::size_t j = 0; j < n; ++j) {
-        const double* brow = b.row_data(j);
-        double s = 0.0;
-        for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-        crow[j] = s;
-      }
-    }
-  });
-  return c;
+  return Gemm(a.rows(), a.cols(), b.rows(), {a.data(), 1, a.cols()},
+              {b.data(), 1, b.cols()});
 }
 
 std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x) {
@@ -289,12 +360,12 @@ void ScaleRows(const std::vector<double>& s, Matrix* m) {
 Matrix Syrk(const Matrix& a) {
   P3GM_TRACE_SPAN("linalg.syrk");
   const std::size_t n = a.cols();
-  const std::size_t panels = (n + kSyrkTile - 1) / kSyrkTile;
+  const std::size_t panels = (n + kTile - 1) / kTile;
   Matrix c(n, n);
-  // Panel t of a block holds columns [t * kSyrkTile, (t + 1) * kSyrkTile)
-  // of its rows, k-major. Columns past n stay +0.0 padding; they only
-  // reach tile entries that are never copied out.
-  std::vector<double> packed(panels * kSyrkRowBlock * kSyrkTile, 0.0);
+  // Panel t of a block holds columns [t * kTile, (t + 1) * kTile) of its
+  // rows, k-major. Columns past n stay +0.0 padding; they only reach tile
+  // entries that are never copied out.
+  std::vector<double> packed(panels * kSyrkRowBlock * kTile, 0.0);
   std::vector<char> nonzero(panels);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> tiles;
   tiles.reserve(panels * (panels + 1) / 2);
@@ -304,9 +375,8 @@ Matrix Syrk(const Matrix& a) {
     for (std::size_t p = 0; p < rows; ++p) {
       const double* src = a.row_data(p0 + p);
       for (std::size_t j = 0; j < n; ++j) {
-        packed[((j / kSyrkTile) * kSyrkRowBlock + p) * kSyrkTile +
-               j % kSyrkTile] = src[j];
-        nonzero[j / kSyrkTile] |= src[j] != 0.0;
+        packed[((j / kTile) * kSyrkRowBlock + p) * kTile + j % kTile] = src[j];
+        nonzero[j / kTile] |= src[j] != 0.0;
       }
     }
     // The upper-triangle tiles (I <= J) of this block in row-major order,
@@ -327,24 +397,11 @@ Matrix Syrk(const Matrix& a) {
     // every element still sums over all data rows in ascending order.
     util::ParallelFor(
         0, tiles.size(), kSyrkTileGrain, [&](std::size_t tb, std::size_t te) {
-          double acc[kSyrkTile][kSyrkTile];
           for (std::size_t t = tb; t < te; ++t) {
-            const std::size_t i0 = tiles[t].first * kSyrkTile;
-            const std::size_t j0 = tiles[t].second * kSyrkTile;
-            const std::size_t ni = std::min(kSyrkTile, n - i0);
-            const std::size_t nj = std::min(kSyrkTile, n - j0);
-            for (std::size_t r = 0; r < kSyrkTile; ++r) {
-              for (std::size_t s = 0; s < kSyrkTile; ++s) {
-                acc[r][s] = r < ni && s < nj ? c(i0 + r, j0 + s) : 0.0;
-              }
-            }
-            SyrkTile(&packed[i0 * kSyrkRowBlock], &packed[j0 * kSyrkRowBlock],
-                     rows, acc);
-            for (std::size_t r = 0; r < ni; ++r) {
-              for (std::size_t s = 0; s < nj; ++s) {
-                c(i0 + r, j0 + s) = acc[r][s];
-              }
-            }
+            const std::size_t i0 = tiles[t].first * kTile;
+            const std::size_t j0 = tiles[t].second * kTile;
+            UpdateTile(&packed[i0 * kSyrkRowBlock],
+                       &packed[j0 * kSyrkRowBlock], rows, i0, j0, &c);
           }
         });
   }

@@ -17,8 +17,18 @@ namespace linalg {
 /// thread pool, blocked over rows with each worker writing a disjoint
 /// output slice. Results are bit-identical for any thread count,
 /// including 1 (see util/thread_pool.h for the determinism contract).
+///
+/// The four products (Matmul, MatmulTransA, MatmulTransB, Syrk) keep one
+/// contract: each output element sums its terms over p in ascending order
+/// from +0.0, a multiply then an add per term, with no FMA. They share one
+/// 4 x 4 register tile that runs over k-major panels of 4 packed columns.
+/// No single zero term is skipped; for finite input a skip would be
+/// bit-neutral anyway, since adding +-0.0 to a sum that started at +0.0
+/// never changes it. With inf or NaN in one operand, a zero in the other
+/// gives a NaN term, so such a result may be NaN where a loop that skips
+/// zero terms gives a number.
 
-/// C = A * B, with A (m x k) and B (k x n). Cache-friendly i-k-j order.
+/// C = A * B, with A (m x k) and B (k x n).
 Matrix Matmul(const Matrix& a, const Matrix& b);
 
 /// C = A^T * B, with A (k x m) and B (k x n). Avoids materializing A^T.
@@ -65,20 +75,14 @@ std::vector<double> RowSquaredNorms(const Matrix& m);
 /// Scales each row i of `m` by s[i] in place.
 void ScaleRows(const std::vector<double>& s, Matrix* m);
 
-/// Symmetric rank-k: returns A^T A (cols x cols), exploiting symmetry.
-/// Each element C_ij = sum_p A_pi A_pj runs over the data rows p in
-/// ascending order from +0.0, a multiply then an add per term, so for
-/// finite input the result is bit-equal to Matmul(A^T, A) at any thread
-/// count. Rows are processed in L2-sized blocks; 4 x 4 register tiles of
-/// the upper triangle are dealt evenly over the pool and carry their
-/// partial sums from block to block.
-///
-/// Zero terms are skipped differently from Matmul: per block, a tile
-/// whose rows are all zero in one of its two 4-column panels is skipped
-/// (so a triangular A costs about a third of a dense one), and no single
-/// zero term is. For finite input either choice is bit-neutral: adding
-/// +-0.0 to a sum that started at +0.0 never changes it. With inf or NaN
-/// in A the two kernels may disagree.
+/// Symmetric rank-k: returns A^T A (cols x cols), exploiting symmetry;
+/// for finite input bit-equal to MatmulTransA(A, A) at any thread count.
+/// Rows are processed in L2-sized blocks; 4 x 4 register tiles of the
+/// upper triangle are dealt evenly over the pool and carry their partial
+/// sums from block to block. Per block, a tile whose rows are all zero in
+/// one of its two 4-column panels is skipped (so a triangular A costs
+/// about a third of a dense one); with inf or NaN in A this skip may give
+/// a number where MatmulTransA gives NaN.
 Matrix Syrk(const Matrix& a);
 
 /// Max absolute difference between equally shaped matrices.

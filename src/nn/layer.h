@@ -53,6 +53,14 @@ class Layer {
   virtual linalg::Matrix Backward(const linalg::Matrix& grad_out,
                                   bool accumulate) = 0;
 
+  /// Backward for a layer whose input gradient nobody reads (the first
+  /// layer of a network): leaves exactly the parameter gradients and
+  /// cached state that Backward leaves, and may skip computing dL/d input.
+  virtual void BackwardNoInput(const linalg::Matrix& grad_out,
+                               bool accumulate) {
+    Backward(grad_out, accumulate);
+  }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Parameter*> Parameters() { return {}; }
 

@@ -26,6 +26,13 @@ linalg::Matrix Linear::Forward(const linalg::Matrix& x, bool train) {
 
 linalg::Matrix Linear::Backward(const linalg::Matrix& grad_out,
                                 bool accumulate) {
+  BackwardNoInput(grad_out, accumulate);
+  // dX = dY W^T.
+  return linalg::MatmulTransB(grad_out, weight_.value);
+}
+
+void Linear::BackwardNoInput(const linalg::Matrix& grad_out,
+                             bool accumulate) {
   P3GM_CHECK(grad_out.rows() == cached_input_.rows());
   P3GM_CHECK(grad_out.cols() == out_features());
   if (accumulate) {
@@ -39,8 +46,6 @@ linalg::Matrix Linear::Backward(const linalg::Matrix& grad_out,
   } else {
     cached_grad_out_ = grad_out;
   }
-  // dX = dY W^T.
-  return linalg::MatmulTransB(grad_out, weight_.value);
 }
 
 void Linear::AddPerExampleSquaredGradNorms(

@@ -29,6 +29,9 @@ class Linear : public Layer {
   linalg::Matrix Forward(const linalg::Matrix& x, bool train) override;
   linalg::Matrix Backward(const linalg::Matrix& grad_out,
                           bool accumulate) override;
+  /// Skips the dX = dY W^T gemm.
+  void BackwardNoInput(const linalg::Matrix& grad_out,
+                       bool accumulate) override;
   std::vector<Parameter*> Parameters() override { return {&weight_, &bias_}; }
   bool SupportsPerExampleGrads() const override { return true; }
   void AddPerExampleSquaredGradNorms(

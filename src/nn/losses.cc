@@ -1,12 +1,23 @@
 #include "nn/losses.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/activations.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace p3gm {
 namespace nn {
+
+namespace {
+
+// Minimum rows per worker for BceWithLogitsLoss. Each element costs an
+// exp and a log1p, so a DP-SGD lot of a few hundred 784-wide rows splits
+// over the pool while small batches run inline.
+constexpr std::size_t kLossRowGrain = 16;
+
+}  // namespace
 
 LossResult MseLoss(const linalg::Matrix& pred, const linalg::Matrix& target,
                    bool mean) {
@@ -41,18 +52,28 @@ LossResult BceWithLogitsLoss(const linalg::Matrix& logits,
   LossResult out;
   out.grad = linalg::Matrix(logits.rows(), logits.cols());
   out.per_example.assign(b, 0.0);
-  for (std::size_t i = 0; i < b; ++i) {
-    const double* l = logits.row_data(i);
-    const double* t = target.row_data(i);
-    double* g = out.grad.row_data(i);
-    double ls = 0.0;
-    for (std::size_t j = 0; j < logits.cols(); ++j) {
-      ls += SoftplusScalar(l[j]) - t[j] * l[j];
-      g[j] = (SigmoidScalar(l[j]) - t[j]) * scale;
+  // Each worker fills whole rows of grad and per_example. One
+  // e = exp(-|x|) serves both terms with the bits of SoftplusScalar and
+  // SigmoidScalar: for x >= 0 (-0.0 included) exp(-x) == e, and for
+  // x < 0 exp(x) == e.
+  util::ParallelFor(0, b, kLossRowGrain, [&](std::size_t rb, std::size_t re) {
+    for (std::size_t i = rb; i < re; ++i) {
+      const double* l = logits.row_data(i);
+      const double* t = target.row_data(i);
+      double* g = out.grad.row_data(i);
+      double ls = 0.0;
+      for (std::size_t j = 0; j < logits.cols(); ++j) {
+        const double x = l[j];
+        const double e = std::exp(-std::fabs(x));
+        const double softplus = std::max(x, 0.0) + std::log1p(e);
+        const double sigmoid = x >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+        ls += softplus - t[j] * x;
+        g[j] = (sigmoid - t[j]) * scale;
+      }
+      out.per_example[i] = ls;
     }
-    out.per_example[i] = ls;
-    out.value += ls * scale;
-  }
+  });
+  for (std::size_t i = 0; i < b; ++i) out.value += out.per_example[i] * scale;
   return out;
 }
 

@@ -18,6 +18,16 @@ linalg::Matrix Sequential::Backward(const linalg::Matrix& grad_out,
   return g;
 }
 
+void Sequential::BackwardNoInput(const linalg::Matrix& grad_out,
+                                 bool accumulate) {
+  if (layers_.empty()) return;
+  linalg::Matrix g = grad_out;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->Backward(g, accumulate);
+  }
+  layers_.front()->BackwardNoInput(g, accumulate);
+}
+
 void Sequential::SetTraining(bool training) {
   training_ = training;
   for (auto& layer : layers_) layer->SetTraining(training);

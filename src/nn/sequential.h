@@ -35,6 +35,10 @@ class Sequential : public Layer {
   linalg::Matrix Forward(const linalg::Matrix& x, bool train) override;
   linalg::Matrix Backward(const linalg::Matrix& grad_out,
                           bool accumulate) override;
+  /// Backward through every layer but the first, then BackwardNoInput
+  /// on the first.
+  void BackwardNoInput(const linalg::Matrix& grad_out,
+                       bool accumulate) override;
   /// Propagates the mode to every child layer.
   void SetTraining(bool training) override;
   std::vector<Parameter*> Parameters() override;

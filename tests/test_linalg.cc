@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -18,6 +19,82 @@ Matrix RandomMatrix(std::size_t r, std::size_t c, util::Rng* rng) {
   Matrix m(r, c);
   for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = rng->Normal();
   return m;
+}
+
+void ExpectSameBits(const Matrix& got, const Matrix& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(
+      std::memcmp(got.data(), want.data(), want.size() * sizeof(double)), 0)
+      << what;
+}
+
+// The scalar loops the tiled gemm family replaced, kept verbatim minus
+// the pool as exact oracles: i-k-j with a per-term zero skip for Matmul
+// and MatmulTransA, one serial add chain per element for MatmulTransB.
+Matrix ReferenceMatmul(const Matrix& a, const Matrix& b) {
+  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  Matrix c(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* arow = a.row_data(i);
+    double* crow = c.row_data(i);
+    for (std::size_t p = 0; p < k; ++p) {
+      const double av = arow[p];
+      if (av == 0.0) continue;
+      const double* brow = b.row_data(p);
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+Matrix ReferenceMatmulTransA(const Matrix& a, const Matrix& b) {
+  const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
+  Matrix c(m, n);
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* arow = a.row_data(p);
+    const double* brow = b.row_data(p);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double av = arow[i];
+      if (av == 0.0) continue;
+      double* crow = c.row_data(i);
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+Matrix ReferenceMatmulTransB(const Matrix& a, const Matrix& b) {
+  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+  Matrix c(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* arow = a.row_data(i);
+    double* crow = c.row_data(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double* brow = b.row_data(j);
+      double s = 0.0;
+      for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
+      crow[j] = s;
+    }
+  }
+  return c;
+}
+
+// Plants signed zeros in `m`: scattered entries, the whole of row 2 and
+// the whole of columns 4-7 (one 4-wide panel).
+void PlantZeros(Matrix* m) {
+  for (std::size_t i = 0; i < m->size(); i += 5) {
+    m->data()[i] = i % 2 ? 0.0 : -0.0;
+  }
+  if (m->rows() > 2) {
+    for (std::size_t j = 0; j < m->cols(); ++j) (*m)(2, j) = -0.0;
+  }
+  for (std::size_t i = 0; i < m->rows(); ++i) {
+    for (std::size_t j = 4; j < std::min<std::size_t>(m->cols(), 8); ++j) {
+      (*m)(i, j) = j % 2 ? 0.0 : -0.0;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Matrix
@@ -152,10 +229,44 @@ TEST(OpsTest, TransposeVariantsAgreeWithExplicitTranspose) {
   util::Rng rng(5);
   Matrix a = RandomMatrix(4, 3, &rng);
   Matrix b = RandomMatrix(4, 5, &rng);
-  EXPECT_LT(MaxAbsDiff(MatmulTransA(a, b), Matmul(a.Transposed(), b)), 1e-12);
+  ExpectSameBits(MatmulTransA(a, b), Matmul(a.Transposed(), b), "TransA");
   Matrix c = RandomMatrix(5, 3, &rng);
-  EXPECT_LT(MaxAbsDiff(MatmulTransB(a, c), Matmul(a, c.Transposed())),
-            1e-12);
+  ExpectSameBits(MatmulTransB(a, c), Matmul(a, c.Transposed()), "TransB");
+}
+
+TEST(OpsTest, GemmFamilyMatchesReferenceLoops) {
+  // Every element sums p ascending from +0.0, a multiply then an add per
+  // term, exactly as the reference loops do. The shapes (m x k x n) cross
+  // the edges of the 4-wide tiles and of the 256-deep blocks, and include
+  // the DP-SGD products of a 784-wide image model.
+  const std::size_t shapes[][3] = {
+      {1, 1, 1},       {3, 5, 2},        {4, 4, 4},
+      {5, 7, 9},       {17, 33, 13},     {241, 100, 10},
+      {240, 784, 100}, {240, 100, 784},  {37, 256, 257}};
+  util::Rng rng(13);
+  for (const auto& shape : shapes) {
+    const std::size_t m = shape[0], k = shape[1], n = shape[2];
+    const std::string dims = std::to_string(m) + "x" + std::to_string(k) +
+                             "x" + std::to_string(n);
+    for (const std::string input : {"dense", "zeros", "nan"}) {
+      Matrix a = RandomMatrix(m, k, &rng);   // m x k
+      Matrix at = RandomMatrix(k, m, &rng);  // k x m
+      Matrix b = RandomMatrix(k, n, &rng);   // k x n
+      Matrix bt = RandomMatrix(n, k, &rng);  // n x k
+      if (input == "zeros") {
+        for (Matrix* x : {&a, &at, &b, &bt}) PlantZeros(x);
+      } else if (input == "nan") {
+        a(m / 2, k / 2) = std::nan("");
+        at(k / 2, m / 2) = std::nan("");
+      }
+      const std::string what = dims + " " + input;
+      ExpectSameBits(Matmul(a, b), ReferenceMatmul(a, b), "Matmul " + what);
+      ExpectSameBits(MatmulTransA(at, b), ReferenceMatmulTransA(at, b),
+                     "MatmulTransA " + what);
+      ExpectSameBits(MatmulTransB(a, bt), ReferenceMatmulTransB(a, bt),
+                     "MatmulTransB " + what);
+    }
+  }
 }
 
 TEST(OpsTest, MatVecMatchesMatmul) {
@@ -243,9 +354,9 @@ TEST(OpsTest, ScaleRows) {
 
 TEST(OpsTest, SyrkMatchesExplicit) {
   // Syrk sums each element over the data rows in ascending order, exactly
-  // like Matmul(A^T, A). The shapes cross every edge of its blocking:
-  // a width that is not a multiple of the 4-wide tile, row counts below,
-  // at and across the 256-row block, and a single column.
+  // like the reference A^T A loop. The shapes cross every edge of its
+  // blocking: a width that is not a multiple of the 4-wide tile, row
+  // counts below, at and across the 256-row block, and a single column.
   const std::size_t shapes[][2] = {{6, 4},   {1, 5},    {3, 1},
                                    {255, 9}, {256, 8},  {257, 3},
                                    {300, 7}, {600, 1},  {513, 13},
@@ -268,7 +379,7 @@ TEST(OpsTest, SyrkMatchesExplicit) {
       }
     }
     const Matrix got = Syrk(a);
-    const Matrix want = Matmul(a.Transposed(), a);
+    const Matrix want = ReferenceMatmulTransA(a, a);
     ASSERT_EQ(got.size(), want.size());
     EXPECT_EQ(std::memcmp(got.data(), want.data(),
                           want.size() * sizeof(double)),

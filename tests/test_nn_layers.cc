@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
 
 #include "gtest/gtest.h"
 #include "linalg/ops.h"
@@ -326,6 +328,68 @@ TEST(SequentialTest, PerExampleSupportReflectsMembers) {
   Sequential cnn;
   cnn.Emplace<Conv2d>("c", 1, 4, 4, 1, 3, 1, &rng);
   EXPECT_FALSE(cnn.SupportsPerExampleGrads());
+}
+
+// ------------------------------------------------------ BackwardNoInput
+
+bool SameBits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+// BackwardNoInput skips only dL/d input: the parameter gradients
+// (accumulate = true) and the per-example norms and clipped gradients
+// (accumulate = false) must be bit-identical to Backward's.
+void ExpectBackwardNoInputMatchesBackward(
+    const std::function<std::unique_ptr<Layer>()>& make) {
+  util::Rng rng(53);
+  const linalg::Matrix x = RandomMatrix(7, 6, &rng);
+  const linalg::Matrix dy = RandomMatrix(7, 5, &rng);
+  for (const bool accumulate : {true, false}) {
+    const std::unique_ptr<Layer> full = make();
+    const std::unique_ptr<Layer> skip = make();
+    full->Forward(x, true);
+    skip->Forward(x, true);
+    full->Backward(dy, accumulate);
+    skip->BackwardNoInput(dy, accumulate);
+    if (!accumulate) {
+      std::vector<double> full_sq(x.rows(), 0.0), skip_sq(x.rows(), 0.0);
+      full->AddPerExampleSquaredGradNorms(&full_sq);
+      skip->AddPerExampleSquaredGradNorms(&skip_sq);
+      EXPECT_TRUE(SameBits(full_sq.data(), skip_sq.data(), x.rows()));
+      std::vector<double> scale(x.rows());
+      for (std::size_t i = 0; i < x.rows(); ++i) {
+        scale[i] = 1.0 / (1.0 + full_sq[i]);
+      }
+      full->AccumulateClippedGrads(scale);
+      skip->AccumulateClippedGrads(scale);
+    }
+    const std::vector<Parameter*> fp = full->Parameters();
+    const std::vector<Parameter*> sp = skip->Parameters();
+    ASSERT_EQ(fp.size(), sp.size());
+    for (std::size_t k = 0; k < fp.size(); ++k) {
+      EXPECT_GT(fp[k]->grad.MaxAbs(), 0.0) << fp[k]->name;
+      EXPECT_TRUE(
+          SameBits(fp[k]->grad.data(), sp[k]->grad.data(), fp[k]->size()))
+          << fp[k]->name << " accumulate=" << accumulate;
+    }
+  }
+}
+
+TEST(BackwardNoInputTest, LinearLeavesTheGradientsOfBackward) {
+  ExpectBackwardNoInputMatchesBackward([] {
+    util::Rng rng(59);
+    return std::make_unique<Linear>("l", 6, 5, &rng);
+  });
+}
+
+TEST(BackwardNoInputTest, LinearReluStackLeavesTheGradientsOfBackward) {
+  ExpectBackwardNoInputMatchesBackward([] {
+    util::Rng rng(61);
+    auto seq = std::make_unique<Sequential>("encoder");
+    seq->Emplace<Linear>("l", 6, 5, &rng);
+    seq->Emplace<Relu>();
+    return seq;
+  });
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "nn/activations.h"
@@ -110,6 +112,63 @@ TEST(BceTest, StableAtExtremeLogits) {
 }
 
 // --------------------------------------------------------------- Softmax
+
+// The two-helper loop BceWithLogitsLoss ran before it shared one exp per
+// element and split rows over the pool, kept as its exact oracle.
+LossResult ReferenceBceWithLogits(const linalg::Matrix& logits,
+                                  const linalg::Matrix& target, bool mean) {
+  const std::size_t b = logits.rows();
+  const double scale = mean ? 1.0 / static_cast<double>(b) : 1.0;
+  LossResult out;
+  out.grad = linalg::Matrix(logits.rows(), logits.cols());
+  out.per_example.assign(b, 0.0);
+  for (std::size_t i = 0; i < b; ++i) {
+    const double* l = logits.row_data(i);
+    const double* t = target.row_data(i);
+    double* g = out.grad.row_data(i);
+    double ls = 0.0;
+    for (std::size_t j = 0; j < logits.cols(); ++j) {
+      ls += SoftplusScalar(l[j]) - t[j] * l[j];
+      g[j] = (SigmoidScalar(l[j]) - t[j]) * scale;
+    }
+    out.per_example[i] = ls;
+    out.value += ls * scale;
+  }
+  return out;
+}
+
+TEST(BceTest, MatchesTwoHelperReferenceBitForBit) {
+  // 16 rows is the pool grain: 15 and 16 run inline, 17 and 240 split.
+  const double extremes[] = {0.0,    -0.0,  1e-300, -1e-300,
+                             40.0,   -40.0, 800.0,  -800.0};
+  util::Rng rng(17);
+  for (const std::size_t b : {1, 15, 16, 17, 240}) {
+    linalg::Matrix logits = RandomMatrix(b, 784, &rng);
+    linalg::Matrix target(b, 784);
+    for (std::size_t i = 0; i < logits.size(); ++i) {
+      logits.data()[i] *= 6.0;
+      target.data()[i] = rng.Uniform(0.0, 1.0);
+      if (i % 7 == 0) logits.data()[i] = extremes[(i / 7) % 8];
+      if (i % 11 == 0) target.data()[i] = (i / 11) % 2;
+    }
+    for (const bool mean : {true, false}) {
+      const LossResult got = BceWithLogitsLoss(logits, target, mean);
+      const LossResult want = ReferenceBceWithLogits(logits, target, mean);
+      const std::string what =
+          std::to_string(b) + (mean ? " rows, mean" : " rows, sum");
+      EXPECT_EQ(std::memcmp(&got.value, &want.value, sizeof(double)), 0)
+          << what;
+      EXPECT_EQ(std::memcmp(got.per_example.data(), want.per_example.data(),
+                            b * sizeof(double)),
+                0)
+          << what;
+      EXPECT_EQ(std::memcmp(got.grad.data(), want.grad.data(),
+                            want.grad.size() * sizeof(double)),
+                0)
+          << what;
+    }
+  }
+}
 
 TEST(SoftmaxTest, RowsSumToOne) {
   util::Rng rng(11);

@@ -65,25 +65,38 @@ void ExpectThreadInvariant(Fn fn, const char* what) {
 
 // ------------------------------------------------------------- linalg
 
+// Gemm shapes (m x k x n): ragged tile edges that run inline (the
+// d' = 10 head product) and split over the pool (37 x 256 x 257).
+constexpr std::size_t kGemmShapes[][3] = {
+    {83, 47, 31}, {241, 100, 10}, {37, 256, 257}};
+
 TEST(ParallelEquivalenceTest, Matmul) {
-  // 83 rows: several grain-8 blocks plus a ragged tail.
-  const linalg::Matrix a = RandomMatrix(83, 47, 1);
-  const linalg::Matrix b = RandomMatrix(47, 31, 2);
-  ExpectThreadInvariant([&] { return linalg::Matmul(a, b); }, "Matmul");
+  std::uint64_t seed = 1;
+  for (const auto& s : kGemmShapes) {
+    const linalg::Matrix a = RandomMatrix(s[0], s[1], seed++);
+    const linalg::Matrix b = RandomMatrix(s[1], s[2], seed++);
+    ExpectThreadInvariant([&] { return linalg::Matmul(a, b); }, "Matmul");
+  }
 }
 
 TEST(ParallelEquivalenceTest, MatmulTransA) {
-  const linalg::Matrix a = RandomMatrix(47, 83, 3);
-  const linalg::Matrix b = RandomMatrix(47, 29, 4);
-  ExpectThreadInvariant([&] { return linalg::MatmulTransA(a, b); },
-                        "MatmulTransA");
+  std::uint64_t seed = 3;
+  for (const auto& s : kGemmShapes) {
+    const linalg::Matrix a = RandomMatrix(s[1], s[0], seed++);
+    const linalg::Matrix b = RandomMatrix(s[1], s[2], seed++);
+    ExpectThreadInvariant([&] { return linalg::MatmulTransA(a, b); },
+                          "MatmulTransA");
+  }
 }
 
 TEST(ParallelEquivalenceTest, MatmulTransB) {
-  const linalg::Matrix a = RandomMatrix(83, 47, 5);
-  const linalg::Matrix b = RandomMatrix(31, 47, 6);
-  ExpectThreadInvariant([&] { return linalg::MatmulTransB(a, b); },
-                        "MatmulTransB");
+  std::uint64_t seed = 5;
+  for (const auto& s : kGemmShapes) {
+    const linalg::Matrix a = RandomMatrix(s[0], s[1], seed++);
+    const linalg::Matrix b = RandomMatrix(s[2], s[1], seed++);
+    ExpectThreadInvariant([&] { return linalg::MatmulTransB(a, b); },
+                          "MatmulTransB");
+  }
 }
 
 TEST(ParallelEquivalenceTest, RowSquaredNorms) {
