@@ -248,10 +248,7 @@ std::string BenchSuite::ToJson() const {
 }
 
 bool BenchSuite::WriteJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << ToJson();
-  return static_cast<bool>(out);
+  return json::WriteFile(path, ToJson());
 }
 
 const BenchResult* BenchFileData::Find(const std::string& name) const {

@@ -5,17 +5,12 @@
 #include <string.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
-#if __has_include(<execinfo.h>)
-#include <execinfo.h>
-#define P3GM_HAVE_EXECINFO 1
-#else
-#define P3GM_HAVE_EXECINFO 0
-#endif
-
 #include "obs/observability.h"
+#include "obs/profile/symbolize.h"
 
 namespace p3gm {
 namespace obs {
@@ -23,12 +18,6 @@ namespace obs {
 namespace {
 
 thread_local void* t_ring = nullptr;
-
-std::size_t RoundUpPow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 // --- async-signal-safe formatting: write(2) + stack buffers only ---
 
@@ -82,10 +71,8 @@ void WritePackedText(int fd, std::uint64_t a, std::uint64_t b) {
   WriteRaw(fd, buf, len);
 }
 
-const char* KindName(std::uint32_t kind) {
-  switch (static_cast<FlightRecorder::EventKind>(kind)) {
-    case FlightRecorder::EventKind::kSpanEnd:
-      return "span";
+const char* KindName(FlightRecorder::EventKind kind) {
+  switch (kind) {
     case FlightRecorder::EventKind::kLog:
       return "log";
     case FlightRecorder::EventKind::kQueueDepth:
@@ -106,13 +93,9 @@ void DumpWithBacktrace(int fd, int signo) {
   WriteStr(fd, "signal ");
   WriteU64(fd, static_cast<std::uint64_t>(signo));
   WriteStr(fd, "\nbacktrace:\n");
-#if P3GM_HAVE_EXECINFO
-  void* frames[64];
-  const int depth = ::backtrace(frames, 64);
-  ::backtrace_symbols_fd(frames, depth, fd);
-#else
-  WriteStr(fd, "  (unavailable on this platform)\n");
-#endif
+  if (!profile::WriteBacktrace(fd)) {
+    WriteStr(fd, "  (unavailable on this platform)\n");
+  }
 }
 
 int OpenDumpFile() {
@@ -166,12 +149,9 @@ FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
   if (t_ring == nullptr) {
     const int index = ring_count_.fetch_add(1, std::memory_order_relaxed);
     if (index >= kMaxRings) return nullptr;  // Thread #257+: unrecorded.
-    auto* ring = new Ring();  // Leaked: crash handlers walk rings forever.
-    ring->tid = static_cast<std::uint32_t>(index);
-    ring->capacity = RoundUpPow2(
-        capacity_per_thread_.load(std::memory_order_relaxed));
-    ring->words = std::make_unique<std::atomic<std::uint64_t>[]>(
-        ring->capacity * kWordsPerEvent);
+    // Leaked: crash handlers walk rings forever.
+    auto* ring =
+        new Ring(capacity_per_thread_.load(std::memory_order_relaxed));
     rings_[index].store(ring, std::memory_order_release);
     t_ring = ring;
   }
@@ -183,17 +163,10 @@ void FlightRecorder::Record(EventKind kind, const char* label,
   if (!enabled_.load(std::memory_order_relaxed)) return;
   Ring* ring = RingForThisThread();
   if (ring == nullptr) return;
-  const std::uint64_t seq = ring->head.load(std::memory_order_relaxed);
-  std::atomic<std::uint64_t>* w =
-      ring->words.get() + (seq & (ring->capacity - 1)) * kWordsPerEvent;
-  w[0].store(NowNs(), std::memory_order_relaxed);
-  w[1].store(reinterpret_cast<std::uintptr_t>(label),
-             std::memory_order_relaxed);
-  w[2].store(a, std::memory_order_relaxed);
-  w[3].store(b, std::memory_order_relaxed);
-  w[4].store((static_cast<std::uint64_t>(kind) << 32) | ring->tid,
-             std::memory_order_relaxed);
-  ring->head.store(seq + 1, std::memory_order_release);
+  const std::uint64_t event[5] = {
+      NowNs(), reinterpret_cast<std::uintptr_t>(label), a, b,
+      static_cast<std::uint64_t>(kind)};
+  ring->Append(event, 5);
 }
 
 void FlightRecorder::RecordLog(const char* level_label, const char* message,
@@ -209,9 +182,7 @@ std::uint64_t FlightRecorder::RecordedCount() const {
   const int count = ring_count_.load(std::memory_order_relaxed);
   for (int i = 0; i < count && i < kMaxRings; ++i) {
     const Ring* ring = rings_[i].load(std::memory_order_acquire);
-    if (ring != nullptr) {
-      total += ring->head.load(std::memory_order_relaxed);
-    }
+    if (ring != nullptr) total += ring->written();
   }
   return total;
 }
@@ -221,9 +192,7 @@ std::uint64_t FlightRecorder::OverwrittenCount() const {
   const int count = ring_count_.load(std::memory_order_relaxed);
   for (int i = 0; i < count && i < kMaxRings; ++i) {
     const Ring* ring = rings_[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    if (head > ring->capacity) total += head - ring->capacity;
+    if (ring != nullptr) total += ring->lost();
   }
   return total;
 }
@@ -238,38 +207,30 @@ void FlightRecorder::DumpToFd(int fd) const {
   for (int i = 0; i < count && i < kMaxRings; ++i) {
     const Ring* ring = rings_[i].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t n = head < ring->capacity ? head : ring->capacity;
     WriteStr(fd, "-- thread ");
-    WriteU64(fd, ring->tid);
+    WriteU64(fd, static_cast<std::uint64_t>(i));
     WriteStr(fd, " events ");
-    WriteU64(fd, n);
+    WriteU64(fd, std::min<std::uint64_t>(ring->written(), ring->capacity()));
     WriteStr(fd, "\n");
-    for (std::uint64_t seq = head - n; seq != head; ++seq) {
-      const std::atomic<std::uint64_t>* w =
-          ring->words.get() +
-          (seq & (ring->capacity - 1)) * kWordsPerEvent;
-      const std::uint64_t t_ns = w[0].load(std::memory_order_relaxed);
+    ring->ForEach([fd](const std::uint64_t* w) {
       const auto* label = reinterpret_cast<const char*>(
-          static_cast<std::uintptr_t>(
-              w[1].load(std::memory_order_relaxed)));
-      const std::uint64_t a = w[2].load(std::memory_order_relaxed);
-      const std::uint64_t b = w[3].load(std::memory_order_relaxed);
-      const std::uint64_t meta = w[4].load(std::memory_order_relaxed);
-      const std::uint32_t kind = static_cast<std::uint32_t>(meta >> 32);
+          static_cast<std::uintptr_t>(w[1]));
+      const std::uint64_t a = w[2];
+      const std::uint64_t b = w[3];
+      const auto kind = static_cast<EventKind>(w[4]);
       WriteStr(fd, "[");
-      WriteU64(fd, t_ns);
+      WriteU64(fd, w[0]);
       WriteStr(fd, "] ");
       WriteStr(fd, KindName(kind));
       WriteStr(fd, " ");
       WriteStr(fd, label != nullptr ? label : "(null)");
-      if (static_cast<EventKind>(kind) == EventKind::kLog) {
+      if (kind == EventKind::kLog) {
         WriteStr(fd, " \"");
         WritePackedText(fd, a, b);
         WriteStr(fd, "\"");
       } else {
         WriteStr(fd, " a=");
-        if (static_cast<EventKind>(kind) == EventKind::kQueueDepth) {
+        if (kind == EventKind::kQueueDepth) {
           WriteU64(fd, a);
         } else {
           WriteHex16(fd, a);
@@ -278,7 +239,7 @@ void FlightRecorder::DumpToFd(int fd) const {
         WriteHex16(fd, b);
       }
       WriteStr(fd, "\n");
-    }
+    });
   }
   WriteStr(fd, "=== end flight recorder ===\n");
 }
@@ -292,20 +253,14 @@ bool FlightRecorder::DumpToFile(const char* path) const {
 }
 
 void FlightRecorder::SetCapacityPerThread(std::size_t capacity) {
-  if (capacity < 16) capacity = 16;
-  capacity_per_thread_.store(RoundUpPow2(capacity),
+  capacity_per_thread_.store(std::max<std::size_t>(capacity, 16),
                              std::memory_order_relaxed);
 }
 
 void InstallFlightDumpHandlers(const std::string& path) {
   ::strncpy(g_dump_path, path.c_str(), sizeof g_dump_path - 1);
   g_dump_path[sizeof g_dump_path - 1] = '\0';
-#if P3GM_HAVE_EXECINFO
-  // backtrace() may lazily dlopen libgcc on first use, which is not
-  // signal-safe — take the first call here, outside any handler.
-  void* warmup[4];
-  ::backtrace(warmup, 4);
-#endif
+  profile::WarmUpBacktrace();
   struct sigaction quit_action;
   ::memset(&quit_action, 0, sizeof quit_action);
   quit_action.sa_handler = QuitHandler;

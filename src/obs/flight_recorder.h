@@ -4,21 +4,23 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
+
+#include "obs/event_ring.h"
 
 namespace p3gm {
 namespace obs {
 
 /// Black-box flight recorder: a fixed-size per-thread ring buffer of
-/// recent structured events (span ends, log records, queue-depth
-/// transitions) that keeps recording even when tracing is disabled, so
-/// there is always a record of the last moments before a crash or stall.
+/// recent structured events (log records, queue-depth transitions,
+/// request lifecycle) that keeps recording even when tracing is disabled,
+/// so there is always a record of the last moments before a crash or
+/// stall. One ring per thread keeps a thread that records heavily from
+/// evicting another thread's last events.
 ///
-/// Hot path: single-writer per ring — five relaxed atomic word stores
-/// plus one release store of the head, no locks, no allocation after a
-/// thread's first event. Readers (metrics, dumps) tolerate torn events
-/// at the wrap point; a post-mortem tool does not need perfection.
+/// Hot path: one obs::EventRing::Append into the calling thread's ring
+/// (no locks, no allocation after a thread's first event). Dumps skip a
+/// record that is still being written instead of printing it torn.
 ///
 /// Dumping is async-signal-safe: DumpToFd formats with write(2) and
 /// stack buffers only (no malloc, no stdio), so the fatal-signal
@@ -32,7 +34,6 @@ namespace obs {
 class FlightRecorder {
  public:
   enum class EventKind : std::uint32_t {
-    kSpanEnd = 1,     // a = start_ns, b = span id
     kLog = 2,         // a, b = first 16 bytes of the message
     kQueueDepth = 3,  // a = new depth, b = queue limit
     kRequest = 4,     // a = span id, b = endpoint-specific detail
@@ -74,18 +75,10 @@ class FlightRecorder {
   void SetCapacityPerThread(std::size_t capacity);
 
  private:
-  // One slot = kWordsPerEvent atomic words:
-  //   [0] timestamp (obs::NowNs), [1] label pointer, [2] a, [3] b,
-  //   [4] kind << 32 | tid.
-  static constexpr std::size_t kWordsPerEvent = 5;
+  // One event: [0] timestamp (obs::NowNs), [1] label pointer, [2] a,
+  // [3] b, [4] kind. A ring's thread number is its index in rings_.
+  using Ring = EventRing<5>;
   static constexpr int kMaxRings = 256;
-
-  struct Ring {
-    std::uint32_t tid = 0;
-    std::size_t capacity = 0;  // Power of two.
-    std::atomic<std::uint64_t> head{0};  // Total events ever recorded.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words;
-  };
 
   FlightRecorder();
   Ring* RingForThisThread();

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace p3gm {
 namespace obs {
@@ -18,6 +19,13 @@ void AppendNumber(std::string* out, double v) {
   const std::to_chars_result r = std::to_chars(
       buf, buf + sizeof buf, v, std::chars_format::general, 17);
   out->append(buf, r.ptr);
+}
+
+bool WriteFile(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) return false;
+  out << content;
+  return static_cast<bool>(out);
 }
 
 std::string Escape(const std::string& s) {

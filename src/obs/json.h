@@ -26,6 +26,10 @@ std::string Escape(const std::string& s);
 /// three-digit exponent, as in -2.2250738585072014e-308.
 inline constexpr std::size_t kMaxNumberChars = 24;
 
+/// Writes `content` to `path`, truncating it; false on any I/O error.
+/// Every obs exporter's Write* method ends here.
+bool WriteFile(const std::string& path, const std::string& content);
+
 /// Appends `v` to `*out` exactly as printf("%.17g") writes it in the C
 /// locale: 17 significant digits, so every double round-trips, and '.'
 /// as the decimal point whatever the process locale. Non-finite values

@@ -1,6 +1,5 @@
 #include "obs/ledger.h"
 
-#include <fstream>
 #include <utility>
 
 #include "obs/json.h"
@@ -11,23 +10,6 @@ namespace obs {
 namespace {
 
 thread_local const char* t_phase = nullptr;
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -100,8 +82,8 @@ std::string PrivacyLedger::ToJson() const {
     out += i == 0 ? "\n" : ",\n";
     out += "  {\"index\": " + std::to_string(i) +
            ", \"run\": " + std::to_string(e.run) + ", \"phase\": \"" +
-           JsonEscape(e.phase) + "\", \"mechanism\": \"" +
-           JsonEscape(e.mechanism) +
+           json::Escape(e.phase) + "\", \"mechanism\": \"" +
+           json::Escape(e.mechanism) +
            "\", \"count\": " + std::to_string(e.count);
     const std::pair<const char*, double> fields[] = {
         {"sigma", e.sigma},
@@ -133,11 +115,11 @@ std::string PrivacyLedger::ToJson() const {
 }
 
 bool PrivacyLedger::WriteCsv(const std::string& path) const {
-  return WriteFile(path, ToCsv());
+  return json::WriteFile(path, ToCsv());
 }
 
 bool PrivacyLedger::WriteJson(const std::string& path) const {
-  return WriteFile(path, ToJson());
+  return json::WriteFile(path, ToJson());
 }
 
 PhaseScope::PhaseScope(const char* phase) : previous_(t_phase) {

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "obs/observability.h"
-#include "obs/registry.h"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -168,30 +167,6 @@ PerfSample PerfCounters::Stop() {
   }
 #endif
   return s;
-}
-
-PerfScope::PerfScope(const char* label) {
-  if (!Enabled()) return;
-  label_ = label;
-  counters_.Start();
-}
-
-PerfScope::~PerfScope() {
-  if (label_ == nullptr) return;
-  const PerfSample s = counters_.Stop();
-  Registry& registry = Registry::Global();
-  const std::string prefix = std::string("perf.") + label_ + ".";
-  // Histograms with no bounds act as (count, sum) accumulators: count is
-  // the number of scope executions, sum the accumulated seconds.
-  registry.histogram(prefix + "wall_seconds")->Observe(s.wall_seconds);
-  registry.histogram(prefix + "user_seconds")->Observe(s.user_seconds);
-  registry.histogram(prefix + "sys_seconds")->Observe(s.sys_seconds);
-  if (s.hw_available) {
-    registry.counter(prefix + "cycles")->Add(s.cycles);
-    registry.counter(prefix + "instructions")->Add(s.instructions);
-    registry.counter(prefix + "cache_misses")->Add(s.cache_misses);
-    registry.counter(prefix + "branch_misses")->Add(s.branch_misses);
-  }
 }
 
 }  // namespace perf

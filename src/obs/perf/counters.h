@@ -2,7 +2,6 @@
 #define P3GM_OBS_PERF_COUNTERS_H_
 
 #include <cstdint>
-#include <string>
 
 namespace p3gm {
 namespace obs {
@@ -68,29 +67,6 @@ class PerfCounters {
   double start_sys_ = 0.0;
   std::uint64_t start_minflt_ = 0;
   std::uint64_t start_majflt_ = 0;
-};
-
-/// RAII region sampler feeding the metrics registry, mirroring
-/// P3GM_TRACE_SPAN's shape: inert unless obs::Enabled(). On destruction
-/// publishes, under "perf.<label>.":
-///
-///   calls (counter), wall_seconds_total / user_seconds_total /
-///   sys_seconds_total (gauges, accumulated), and — when the hardware
-///   tier is live — cycles / instructions / cache_misses /
-///   branch_misses (counters).
-///
-/// `label` follows the registry naming convention and must outlive the
-/// scope (string literals at call sites).
-class PerfScope {
- public:
-  explicit PerfScope(const char* label);
-  ~PerfScope();
-  PerfScope(const PerfScope&) = delete;
-  PerfScope& operator=(const PerfScope&) = delete;
-
- private:
-  const char* label_ = nullptr;  // nullptr = disabled at construction.
-  PerfCounters counters_;
 };
 
 }  // namespace perf

@@ -1,19 +1,11 @@
 #include "obs/profile/heap.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <map>
 #include <mutex>
+#include <vector>
 
-#if __has_include(<execinfo.h>)
-#include <execinfo.h>
-#define P3GM_HAVE_EXECINFO 1
-#else
-#define P3GM_HAVE_EXECINFO 0
-#endif
-
-#include "obs/profile/symbolize.h"
+#include "obs/perf/alloc.h"
 
 namespace p3gm {
 namespace obs {
@@ -110,23 +102,14 @@ void HeapSampleHook(std::size_t size) {
       1 + static_cast<std::uint64_t>(-t_countdown) / stride;
   t_countdown += static_cast<std::int64_t>(crossings * stride);
   t_in_hook = true;  // backtrace/symbol machinery may itself allocate.
-#if P3GM_HAVE_EXECINFO
-  void* frames[kMaxStackDepth];
-  const int depth =
-      ::backtrace(frames, static_cast<int>(kMaxStackDepth));
+  std::uintptr_t pcs[kMaxStackDepth];
+  const int depth = Backtrace(pcs);
   if (depth > 0) {
-    std::uintptr_t pcs[kMaxStackDepth];
-    for (int i = 0; i < depth; ++i) {
-      pcs[i] = reinterpret_cast<std::uintptr_t>(frames[i]);
-    }
     RecordHeapSample(pcs, static_cast<std::uint32_t>(depth),
                      crossings * stride);
   } else {
     g_heap_dropped.fetch_add(1, std::memory_order_relaxed);
   }
-#else
-  g_heap_dropped.fetch_add(1, std::memory_order_relaxed);
-#endif
   t_in_hook = false;
 }
 
@@ -153,12 +136,7 @@ util::Status HeapProfiler::Start(const HeapProfileOptions& options) {
     return util::Status::FailedPrecondition(
         "HeapProfiler: already running");
   }
-#if P3GM_HAVE_EXECINFO
-  // First backtrace() may dlopen libgcc; take it here, not inside
-  // operator new of some arbitrary caller.
-  void* warmup[4];
-  ::backtrace(warmup, 4);
-#endif
+  WarmUpBacktrace();  // Not inside some arbitrary caller's operator new.
   // stride == 0 means no hook can be mid-record, so a plain reset is
   // race-free.
   for (HeapEntry& entry : g_table) {
@@ -188,55 +166,18 @@ util::Result<HeapProfile> HeapProfiler::Snapshot() const {
   profile.samples = g_heap_samples.load(std::memory_order_relaxed);
   profile.dropped = g_heap_dropped.load(std::memory_order_relaxed);
 
-  std::map<std::string, std::uint64_t> folded;
+  RawStacks raw;
   for (const HeapEntry& entry : g_table) {
     if (entry.state.load(std::memory_order_acquire) != 2) continue;
     const std::uint64_t bytes =
         entry.bytes.load(std::memory_order_relaxed);
     if (bytes == 0) continue;
-    // Strip the hook/allocator prefix off the leaf end. The anonymous
-    // TrackedNew between HeapSampleHook and operator new symbolizes as
-    // bare hex, so exactly one hex frame is strippable too — a budget,
-    // not a scan, because operator new itself is often tail-called out
-    // of the backtrace and any further unresolved frame is a real
-    // (static) caller that must stay.
-    std::size_t begin = 0;
-    int hex_budget = 1;
-    while (begin < entry.depth) {
-      const std::string name = SymbolizePc(
-          begin == 0 ? entry.pcs[0]
-                     : AdjustReturnAddress(entry.pcs[begin]));
-      if (!IsHeapInternalFrame(name)) {
-        const bool hex = name.compare(0, 2, "0x") == 0;
-        if (!(hex && begin > 0 && hex_budget-- > 0)) break;
-      }
-      ++begin;
-    }
-    if (begin >= entry.depth) begin = 0;  // Keep rather than lose.
-    folded[FoldStack(entry.pcs + begin, entry.depth - begin)] += bytes;
+    raw[std::vector<std::uintptr_t>(entry.pcs, entry.pcs + entry.depth)] +=
+        bytes;
     profile.sampled_bytes += bytes;
   }
-  profile.folded.reserve(folded.size());
-  for (auto& [stack, weight] : folded) {
-    profile.folded.push_back(FoldedStack{stack, weight});
-  }
-  std::sort(profile.folded.begin(), profile.folded.end(),
-            [](const FoldedStack& a, const FoldedStack& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              return a.stack < b.stack;
-            });
+  profile.folded = FoldStacks(raw, IsHeapInternalFrame);
   return profile;
-}
-
-std::string HeapProfile::ToFoldedText() const {
-  std::string out;
-  for (const FoldedStack& fs : folded) {
-    out += fs.stack;
-    out += ' ';
-    out += std::to_string(fs.weight);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace profile

@@ -3,11 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "obs/perf/alloc.h"
-#include "obs/profile/profiler.h"
+#include "obs/profile/symbolize.h"
 #include "util/result.h"
 
 namespace p3gm {
@@ -45,14 +42,11 @@ struct HeapProfileOptions {
 
 /// A snapshot of attributed allocation stacks. Weights are bytes, so
 /// the folded text renders as a bytes-flamegraph.
-struct HeapProfile {
+struct HeapProfile : FoldedProfile {
   std::uint64_t samples = 0;        // Stack captures that landed.
   std::uint64_t dropped = 0;        // Lost to table collisions/overflow.
   std::uint64_t sampled_bytes = 0;  // Total attributed bytes.
   std::uint64_t stride_bytes = 0;
-  std::vector<FoldedStack> folded;  // weight = attributed bytes.
-
-  std::string ToFoldedText() const;
 };
 
 /// Process-wide sampled heap profiler. Start enables the hook; the

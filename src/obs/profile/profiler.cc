@@ -8,19 +8,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <map>
 #include <mutex>
+#include <new>
 #include <vector>
 
-#if __has_include(<execinfo.h>)
-#include <execinfo.h>
-#define P3GM_HAVE_EXECINFO 1
-#else
-#define P3GM_HAVE_EXECINFO 0
-#endif
-
+#include "obs/event_ring.h"
 #include "obs/observability.h"
-#include "obs/profile/symbolize.h"
 #include "obs/registry.h"
 
 namespace p3gm {
@@ -35,51 +28,23 @@ namespace {
 // performs no allocation, takes no lock and makes no syscall.
 // ---------------------------------------------------------------------
 
-// One slot = kWordsPerSample words: [0] depth, [1..depth] pcs.
-constexpr std::size_t kWordsPerSample = 1 + kMaxStackDepth;
+// One sample: [0] depth, [1..depth] pcs, leaf first.
+using SampleRing = EventRing<1 + kMaxStackDepth>;
 
-struct Ring {
-  std::size_t capacity = 0;            // Samples; power of two.
-  std::atomic<std::uint64_t> head{0};  // Samples ever written.
-  std::atomic<std::uint64_t>* words = nullptr;
-};
-
-// Claim array, flight-recorder style: rings are allocated in normal
-// context (Start), published once with a release store, and leaked on
-// purpose so a handler can always walk them. A thread claims one ring
-// on its first sample and keeps it for the life of the process.
-std::atomic<Ring*> g_rings[kMaxProfiledThreads];
-std::atomic<int> g_allocated{0};  // Rings ready in g_rings.
-std::atomic<int> g_claimed{0};    // Rings handed to threads.
-thread_local Ring* t_ring = nullptr;
+// The first Start builds the ring here and it is never destroyed: a
+// handler that fired just before a Stop (or process exit) may still
+// hold it.
+alignas(SampleRing) unsigned char g_ring_storage[sizeof(SampleRing)];
+std::atomic<SampleRing*> g_ring{nullptr};
 
 std::atomic<bool> g_collecting{false};
 std::atomic<bool> g_use_frame_pointers{false};
-std::atomic<std::uint64_t> g_samples{0};
-std::atomic<std::uint64_t> g_dropped{0};
+std::atomic<std::uint64_t> g_walk_failures{0};
 
 std::mutex g_lifecycle_mutex;  // Serializes Start/Stop (cold path).
 bool g_handler_installed = false;
 std::uint64_t g_start_ns = 0;
 int g_hz = 0;
-
-std::size_t RoundUpPow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-Ring* ClaimRingForThisThread() {
-  if (t_ring != nullptr) return t_ring;
-  const int index = g_claimed.fetch_add(1, std::memory_order_relaxed);
-  if (index >= g_allocated.load(std::memory_order_acquire)) {
-    // Pool exhausted: more threads than pre-allocated rings. The sample
-    // is dropped (counted); the next Start tops the pool back up.
-    return nullptr;
-  }
-  t_ring = g_rings[index].load(std::memory_order_acquire);
-  return t_ring;
-}
 
 }  // namespace
 
@@ -87,8 +52,9 @@ Ring* ClaimRingForThisThread() {
 // External linkage on purpose: CMAKE_ENABLE_EXPORTS puts these names in
 // the dynamic table, so dladdr can recognize the handler's own frames at
 // dump time and strip them off the leaf end of every sample (the
-// "obs::profile::" test in StripHandlerFrames below). In an anonymous
-// namespace they would symbolize as bare hex and pollute the flamegraph.
+// "obs::profile::" test in IsProfilerInternalFrame below). In an
+// anonymous namespace they would symbolize as bare hex and pollute the
+// flamegraph.
 
 // Frame-pointer walk: follows the saved-rbp chain from this frame
 // upward. Only yields useful stacks in -fno-omit-frame-pointer builds
@@ -99,11 +65,11 @@ Ring* ClaimRingForThisThread() {
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
-int ProfilerFramePointerWalk(std::uintptr_t* pcs, int max_depth) {
+int ProfilerFramePointerWalk(std::uintptr_t* pcs) {
   int depth = 0;
   std::uintptr_t fp =
       reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
-  while (depth < max_depth) {
+  while (depth < static_cast<int>(kMaxStackDepth)) {
     if (fp == 0 || (fp & 0x7) != 0) break;
     const std::uintptr_t* frame =
         reinterpret_cast<const std::uintptr_t*>(fp);
@@ -120,51 +86,31 @@ int ProfilerFramePointerWalk(std::uintptr_t* pcs, int max_depth) {
 // Captures the current stack, leaf-first. In backtrace mode the
 // unwinder crosses the kernel signal frame (its unwind info is marked),
 // so samples see the interrupted application stack, not just the
-// handler; glibc's lazy libgcc dlopen is taken once at Start, outside
-// any handler, exactly like flight_recorder.cc pre-warms its dump path.
-int ProfilerCaptureStack(std::uintptr_t* pcs, int max_depth) {
+// handler; Start warms backtrace() up outside any handler.
+int ProfilerCaptureStack(std::uintptr_t* pcs) {
   if (g_use_frame_pointers.load(std::memory_order_relaxed)) {
-    return ProfilerFramePointerWalk(pcs, max_depth);
+    return ProfilerFramePointerWalk(pcs);
   }
-#if P3GM_HAVE_EXECINFO
-  void* frames[kMaxStackDepth];
-  const int depth = ::backtrace(frames, max_depth);
-  for (int i = 0; i < depth; ++i) {
-    pcs[i] = reinterpret_cast<std::uintptr_t>(frames[i]);
-  }
-  return depth;
-#else
-  return ProfilerFramePointerWalk(pcs, max_depth);
-#endif
+  return Backtrace(pcs);
 }
 
 void ProfilerHandleSample() {
-  Ring* ring = ClaimRingForThisThread();
-  if (ring == nullptr) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   std::uintptr_t pcs[kMaxStackDepth];
-  const int depth =
-      ProfilerCaptureStack(pcs, static_cast<int>(kMaxStackDepth));
+  const int depth = ProfilerCaptureStack(pcs);
   if (depth <= 0) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
+    g_walk_failures.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const std::uint64_t seq = ring->head.load(std::memory_order_relaxed);
-  std::atomic<std::uint64_t>* slot =
-      ring->words + (seq & (ring->capacity - 1)) * kWordsPerSample;
-  slot[0].store(static_cast<std::uint64_t>(depth),
-                std::memory_order_relaxed);
-  for (int i = 0; i < depth; ++i) {
-    slot[1 + i].store(pcs[i], std::memory_order_relaxed);
-  }
-  ring->head.store(seq + 1, std::memory_order_release);
-  g_samples.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t sample[1 + kMaxStackDepth];
+  sample[0] = static_cast<std::uint64_t>(depth);
+  std::copy(pcs, pcs + depth, sample + 1);
+  g_ring.load(std::memory_order_acquire)->Append(sample, 1 + depth);
 }
 
 void ProfilerSignalHandler(int) {
-  if (!g_collecting.load(std::memory_order_relaxed)) return;
+  // Acquire pairs with Start's release store, which follows the ring's
+  // construction.
+  if (!g_collecting.load(std::memory_order_acquire)) return;
   const int saved_errno = errno;
   ProfilerHandleSample();
   errno = saved_errno;
@@ -172,31 +118,13 @@ void ProfilerSignalHandler(int) {
 
 namespace {
 
-// Pre-allocates rings so the handler never has to: keeps at least
-// `headroom` unclaimed rings available. Runs under the lifecycle mutex
-// in normal context.
-void TopUpRingPool(std::size_t capacity, int headroom) {
-  const int claimed = g_claimed.load(std::memory_order_relaxed);
-  const int want = std::min(claimed + headroom, kMaxProfiledThreads);
-  int allocated = g_allocated.load(std::memory_order_relaxed);
-  while (allocated < want) {
-    auto* ring = new Ring();  // Leaked: handlers may walk rings forever.
-    ring->capacity = capacity;
-    ring->words = new std::atomic<std::uint64_t>[ring->capacity *
-                                                 kWordsPerSample]();
-    g_rings[allocated].store(ring, std::memory_order_release);
-    ++allocated;
-    g_allocated.store(allocated, std::memory_order_release);
-  }
-}
-
 // Start-time probe: trust the frame-pointer walk only when it can see
 // through a small noinline call chain in this build.
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
 int ProbeDepth2(std::uintptr_t* pcs) {
-  return ProfilerFramePointerWalk(pcs, static_cast<int>(kMaxStackDepth));
+  return ProfilerFramePointerWalk(pcs);
 }
 #if defined(__GNUC__)
 __attribute__((noinline))
@@ -210,7 +138,9 @@ bool ProbeFramePointers() {
 
 // Profiler-internal frames captured below the interrupted pc (the
 // handler itself plus the signal trampoline) are stripped at fold time
-// so flamegraphs show only application stacks.
+// so flamegraphs show only application stacks. Unlike the heap
+// profiler's rule, operator new is kept: a sample landing there is real
+// CPU signal.
 bool IsProfilerInternalFrame(const std::string& name) {
   return name.find("obs::profile::") != std::string::npos ||
          name.find("__restore_rt") != std::string::npos ||
@@ -233,11 +163,8 @@ bool CpuProfiler::running() const {
 }
 
 std::uint64_t CpuProfiler::SamplesCaptured() const {
-  return g_samples.load(std::memory_order_relaxed);
-}
-
-std::uint64_t CpuProfiler::SamplesDropped() const {
-  return g_dropped.load(std::memory_order_relaxed);
+  const SampleRing* ring = g_ring.load(std::memory_order_acquire);
+  return ring == nullptr ? 0 : ring->written();
 }
 
 util::Status CpuProfiler::Start(const CpuProfileOptions& options) {
@@ -245,39 +172,26 @@ util::Status CpuProfiler::Start(const CpuProfileOptions& options) {
     return util::Status::InvalidArgument(
         "CpuProfiler: hz must be in [1, 1000]");
   }
-  if (options.ring_capacity < 64 || options.ring_capacity > (1u << 20)) {
-    return util::Status::InvalidArgument(
-        "CpuProfiler: ring_capacity must be in [64, 1048576]");
-  }
   std::lock_guard<std::mutex> lock(g_lifecycle_mutex);
   if (g_collecting.load(std::memory_order_acquire)) {
     return util::Status::FailedPrecondition(
         "CpuProfiler: a profile is already running");
   }
 
-#if P3GM_HAVE_EXECINFO
-  // backtrace() may lazily dlopen libgcc on first use, which is not
-  // signal-safe — take that hit here, outside any handler.
-  void* warmup[4];
-  ::backtrace(warmup, 4);
-  g_use_frame_pointers.store(ProbeFramePointers(),
-                             std::memory_order_relaxed);
-#else
-  if (!ProbeFramePointers()) {
+  const bool frame_pointers = ProbeFramePointers();
+  if (!WarmUpBacktrace() && !frame_pointers) {
     return util::Status::Unimplemented(
         "CpuProfiler: no usable stack walker on this platform");
   }
-  g_use_frame_pointers.store(true, std::memory_order_relaxed);
-#endif
+  g_use_frame_pointers.store(frame_pointers, std::memory_order_relaxed);
 
-  TopUpRingPool(RoundUpPow2(options.ring_capacity), /*headroom=*/8);
-  const int allocated = g_allocated.load(std::memory_order_relaxed);
-  for (int i = 0; i < allocated; ++i) {
-    g_rings[i].load(std::memory_order_acquire)
-        ->head.store(0, std::memory_order_relaxed);
+  SampleRing* ring = g_ring.load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    ring = new (g_ring_storage) SampleRing(kSampleRingCapacity);
+    g_ring.store(ring, std::memory_order_release);
   }
-  g_samples.store(0, std::memory_order_relaxed);
-  g_dropped.store(0, std::memory_order_relaxed);
+  ring->Clear();
+  g_walk_failures.store(0, std::memory_order_relaxed);
   g_hz = options.hz;
   g_start_ns = NowNs();
 
@@ -320,8 +234,8 @@ util::Result<CpuProfile> CpuProfiler::Stop() {
   ::setitimer(ITIMER_PROF, &disarm, nullptr);
   g_collecting.store(false, std::memory_order_release);
   // A tick delivered just before the disarm may still be executing its
-  // handler on another thread; give it a moment so the merge below sees
-  // at most one torn sample per ring (which it tolerates anyway).
+  // handler on another thread; give it a moment to publish its sample
+  // (the walk skips and counts it otherwise).
   struct timespec settle = {0, 2 * 1000 * 1000};
   ::nanosleep(&settle, nullptr);
 
@@ -329,86 +243,24 @@ util::Result<CpuProfile> CpuProfiler::Stop() {
   profile.hz = g_hz;
   profile.duration_seconds =
       static_cast<double>(NowNs() - g_start_ns) * 1e-9;
-  profile.samples = g_samples.load(std::memory_order_relaxed);
-  profile.dropped = g_dropped.load(std::memory_order_relaxed);
 
-  // Merge: aggregate identical raw stacks first so each unique stack is
-  // symbolized exactly once.
-  std::map<std::vector<std::uintptr_t>, std::uint64_t> raw;
-  const int allocated = g_allocated.load(std::memory_order_acquire);
-  for (int i = 0; i < allocated; ++i) {
-    const Ring* ring = g_rings[i].load(std::memory_order_acquire);
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t n = std::min<std::uint64_t>(head, ring->capacity);
-    if (head > ring->capacity) {
-      profile.dropped += head - ring->capacity;  // Ring-wrap loss.
-    }
-    for (std::uint64_t seq = head - n; seq != head; ++seq) {
-      const std::atomic<std::uint64_t>* slot =
-          ring->words + (seq & (ring->capacity - 1)) * kWordsPerSample;
-      const std::uint64_t depth =
-          slot[0].load(std::memory_order_relaxed);
-      if (depth == 0 || depth > kMaxStackDepth) {
-        profile.dropped += 1;  // Torn slot at the wrap point.
-        continue;
-      }
-      std::vector<std::uintptr_t> pcs(depth);
-      for (std::uint64_t d = 0; d < depth; ++d) {
-        pcs[d] = static_cast<std::uintptr_t>(
-            slot[1 + d].load(std::memory_order_relaxed));
-      }
-      raw[pcs] += 1;
-    }
-  }
-
-  // Symbolize at dump time, strip the handler's own frames off the leaf
-  // end, and fold equal stacks (two raw stacks can collapse to one
-  // folded line once addresses resolve to the same symbols).
-  std::map<std::string, std::uint64_t> folded;
-  for (const auto& [pcs, count] : raw) {
-    std::size_t begin = 0;
-    while (begin < pcs.size() &&
-           IsProfilerInternalFrame(SymbolizePc(
-               begin == 0 ? pcs[0] : AdjustReturnAddress(pcs[begin])))) {
-      ++begin;
-    }
-    // Directly outside the handler sits the kernel signal trampoline;
-    // when it resolves (__restore_rt) the loop above ate it, when it
-    // doesn't it is the single unresolvable frame left on the leaf end.
-    if (begin > 0 && begin < pcs.size() &&
-        SymbolizePc(AdjustReturnAddress(pcs[begin])).compare(0, 2, "0x") ==
-            0) {
-      ++begin;
-    }
-    if (begin >= pcs.size()) begin = 0;  // Keep rather than lose.
-    folded[FoldStack(pcs.data() + begin, pcs.size() - begin)] += count;
-  }
-  profile.folded.reserve(folded.size());
-  for (auto& [stack, weight] : folded) {
-    profile.folded.push_back(FoldedStack{stack, weight});
-  }
-  std::sort(profile.folded.begin(), profile.folded.end(),
-            [](const FoldedStack& a, const FoldedStack& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              return a.stack < b.stack;
-            });
+  // Aggregate identical raw stacks first so each unique stack is
+  // symbolized once.
+  const SampleRing& ring = *g_ring.load(std::memory_order_acquire);
+  RawStacks raw;
+  const std::uint64_t skipped = ring.ForEach([&](const std::uint64_t* w) {
+    raw[std::vector<std::uintptr_t>(w + 1, w + 1 + w[0])] += 1;
+    ++profile.samples;
+  });
+  profile.dropped = g_walk_failures.load(std::memory_order_relaxed) +
+                    ring.lost() + skipped;
+  profile.folded = FoldStacks(raw, IsProfilerInternalFrame);
 
   Registry::Global().gauge("obs.profile.samples")
       ->Set(static_cast<double>(profile.samples));
   Registry::Global().gauge("obs.profile.dropped")
       ->Set(static_cast<double>(profile.dropped));
   return profile;
-}
-
-std::string CpuProfile::ToFoldedText() const {
-  std::string out;
-  for (const FoldedStack& fs : folded) {
-    out += fs.stack;
-    out += ' ';
-    out += std::to_string(fs.weight);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace profile

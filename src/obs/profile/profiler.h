@@ -3,9 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
+#include "obs/profile/symbolize.h"
 #include "util/result.h"
 
 namespace p3gm {
@@ -18,11 +17,10 @@ namespace profile {
 /// second of consumed process CPU time; the kernel delivers each tick to
 /// a thread that is currently running, so samples are CPU-weighted
 /// across threads for free. The handler captures a raw program-counter
-/// stack into the calling thread's lock-free ring and returns — zero
-/// locks, zero allocation, zero syscalls on the sampling path. Rings
-/// follow the flight-recorder slot pattern (obs/flight_recorder.h): a
-/// fixed claim array published with release stores, one writer per ring,
-/// torn-tolerant readers, loss accounted instead of blocked.
+/// stack and appends it to one obs::EventRing that every thread shares
+/// — zero locks, zero allocation, zero syscalls on the sampling path.
+/// The first Start allocates the ring (kSampleRingCapacity samples);
+/// a full ring overwrites its oldest samples and counts them as dropped.
 ///
 /// Symbolization (dladdr + demangling) happens exclusively at collection
 /// time, never in the handler. The collected profile renders as folded
@@ -35,38 +33,24 @@ namespace profile {
 /// -DP3GM_OBSERVABILITY=OFF builds; only the obs.profile.* registry
 /// gauges become no-ops there.
 
-/// Hard compile-time caps of the sampling path.
-constexpr std::size_t kMaxStackDepth = 64;  // Frames kept per sample.
-constexpr int kMaxProfiledThreads = 64;     // Rings claimable at once.
+/// Samples the shared ring holds before the oldest is overwritten: at
+/// the default 99 Hz, 41 s of four saturated cores.
+constexpr std::size_t kSampleRingCapacity = 4 * 4096;
 
 struct CpuProfileOptions {
   /// Samples per second of CPU time, [1, 1000]. 99 (not 100) keeps the
   /// sampler out of lockstep with 10ms-periodic application timers.
   int hz = 99;
-  /// Samples each thread's ring holds before the oldest is overwritten
-  /// (rounded up to a power of two). At the default hz a ring covers
-  /// ~40s of one saturated core.
-  std::size_t ring_capacity = 4096;
 };
 
-/// One aggregated, symbolized stack with its sample count.
-struct FoldedStack {
-  std::string stack;  // "outer;inner;leaf" — root frame first.
-  std::uint64_t weight = 0;
-};
-
-/// A finished CPU profile.
-struct CpuProfile {
-  std::uint64_t samples = 0;  // Captured into rings.
-  std::uint64_t dropped = 0;  // Lost: ring wrap, pool exhaustion, walk
-                              // failure. samples+dropped = timer ticks.
+/// A finished CPU profile; `folded` weights are sample counts.
+struct CpuProfile : FoldedProfile {
+  std::uint64_t samples = 0;  // In `folded`: the weights sum to this.
+  std::uint64_t dropped = 0;  // Lost to a failed stack walk, ring wrap
+                              // or a record still being written.
+                              // samples + dropped = timer ticks.
   double duration_seconds = 0.0;  // Wall time Start -> Stop.
   int hz = 0;
-  std::vector<FoldedStack> folded;  // Sorted by descending weight.
-
-  /// Folded-stack text: one "stack <weight>" line per entry, the exact
-  /// shape `tools/trace_to_folded` emits and flamegraph.pl consumes.
-  std::string ToFoldedText() const;
 };
 
 /// The process-wide sampling profiler. One profile at a time: Start
@@ -84,15 +68,14 @@ class CpuProfiler {
 
   bool running() const;
 
-  /// Disarms the timer, merges every ring, symbolizes at dump time and
+  /// Disarms the timer, walks the ring, symbolizes at dump time and
   /// returns the aggregated profile. Also publishes the final
   /// obs.profile.samples / obs.profile.dropped registry gauges.
   /// FailedPrecondition when no profile is running.
   util::Result<CpuProfile> Stop();
 
-  /// Live loss accounting for the in-flight profile (both 0 when idle).
+  /// Stacks appended to the ring since the last Start (0 before any).
   std::uint64_t SamplesCaptured() const;
-  std::uint64_t SamplesDropped() const;
 
  private:
   CpuProfiler() = default;

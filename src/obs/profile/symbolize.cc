@@ -1,10 +1,17 @@
 #include "obs/profile/symbolize.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <mutex>
+
+#if __has_include(<execinfo.h>)
+#include <execinfo.h>
+#define P3GM_HAVE_EXECINFO 1
+#else
+#define P3GM_HAVE_EXECINFO 0
+#endif
 
 #if __has_include(<dlfcn.h>)
 #include <dlfcn.h>
@@ -52,6 +59,37 @@ std::map<std::uintptr_t, std::string>& Cache() {
 }
 
 }  // namespace
+
+bool WarmUpBacktrace() {
+  std::uintptr_t pcs[kMaxStackDepth];
+  return Backtrace(pcs) > 0;
+}
+
+int Backtrace(std::uintptr_t* pcs) {
+#if P3GM_HAVE_EXECINFO
+  void* frames[kMaxStackDepth];
+  const int depth = ::backtrace(frames, static_cast<int>(kMaxStackDepth));
+  for (int i = 0; i < depth; ++i) {
+    pcs[i] = reinterpret_cast<std::uintptr_t>(frames[i]);
+  }
+  return depth;
+#else
+  (void)pcs;
+  return 0;
+#endif
+}
+
+bool WriteBacktrace(int fd) {
+#if P3GM_HAVE_EXECINFO
+  void* frames[kMaxStackDepth];
+  ::backtrace_symbols_fd(
+      frames, ::backtrace(frames, static_cast<int>(kMaxStackDepth)), fd);
+  return true;
+#else
+  (void)fd;
+  return false;
+#endif
+}
 
 std::string Demangle(const char* name) {
   if (name == nullptr) return std::string();
@@ -101,6 +139,52 @@ std::string FoldStack(const std::uintptr_t* pcs, std::size_t depth) {
     out += SymbolizePc(pc);
   }
   return out;
+}
+
+std::string FoldedProfile::ToFoldedText() const {
+  std::string out;
+  for (const FoldedStack& fs : folded) {
+    out += fs.stack;
+    out += ' ';
+    out += std::to_string(fs.weight);
+    out += '\n';
+  }
+  return out;
+}
+
+std::vector<FoldedStack> FoldStacks(
+    const RawStacks& raw, bool (*is_internal)(const std::string& frame)) {
+  std::map<std::string, std::uint64_t> merged;
+  for (const auto& [pcs, weight] : raw) {
+    // Below the internal frames sits one frame that need not resolve:
+    // the kernel's signal trampoline under the CPU handler, the
+    // anonymous TrackedNew under the heap hook. A budget, not a scan:
+    // any further unresolved frame is a real (static) caller.
+    std::size_t begin = 0;
+    int hex_budget = 1;
+    while (begin < pcs.size()) {
+      const std::string name = SymbolizePc(
+          begin == 0 ? pcs[0] : AdjustReturnAddress(pcs[begin]));
+      if (!is_internal(name)) {
+        const bool hex = name.compare(0, 2, "0x") == 0;
+        if (!(hex && begin > 0 && hex_budget-- > 0)) break;
+      }
+      ++begin;
+    }
+    if (begin >= pcs.size()) begin = 0;  // Keep rather than lose.
+    merged[FoldStack(pcs.data() + begin, pcs.size() - begin)] += weight;
+  }
+  std::vector<FoldedStack> folded;
+  folded.reserve(merged.size());
+  for (auto& [stack, weight] : merged) {
+    folded.push_back(FoldedStack{stack, weight});
+  }
+  std::sort(folded.begin(), folded.end(),
+            [](const FoldedStack& a, const FoldedStack& b) {
+              if (a.weight != b.weight) return a.weight > b.weight;
+              return a.stack < b.stack;
+            });
+  return folded;
 }
 
 }  // namespace profile

@@ -1,7 +1,6 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 
 #include "obs/json.h"
@@ -206,21 +205,12 @@ std::string Snapshot::ToCsv() const {
   return out;
 }
 
-namespace {
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-}  // namespace
-
 bool Snapshot::WriteJson(const std::string& path) const {
-  return WriteFile(path, ToJson());
+  return json::WriteFile(path, ToJson());
 }
 
 bool Snapshot::WriteCsv(const std::string& path) const {
-  return WriteFile(path, ToCsv());
+  return json::WriteFile(path, ToCsv());
 }
 
 }  // namespace obs

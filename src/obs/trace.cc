@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "obs/json.h"
 
@@ -146,10 +145,7 @@ std::string TraceRecorder::ToChromeJson() const {
 }
 
 bool TraceRecorder::WriteChromeJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << ToChromeJson();
-  return static_cast<bool>(out);
+  return json::WriteFile(path, ToChromeJson());
 }
 
 }  // namespace obs

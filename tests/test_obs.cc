@@ -22,6 +22,7 @@
 
 #include "gtest/gtest.h"
 #include "dp/accountant.h"
+#include "obs/event_ring.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/ledger.h"
@@ -335,6 +336,27 @@ TEST_F(ObsTest, RegistryJsonEscapesHostileInstrumentNames) {
   const json::Value* counters = root.Find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_DOUBLE_EQ(counters->NumberOr("test.\"evil\"\\name", -1.0), 3.0);
+}
+
+TEST_F(ObsTest, LedgerJsonEscapesHostileNames) {
+  // Control characters must leave as escapes: a raw LF or 0x01 inside a
+  // JSON string makes a strict parser reject the whole ledger.
+  const char mechanism[] = "a\"b\\c\nd\x01";
+  dp::RdpAccountant acc;
+  acc.set_ledger_enabled(true);
+  {
+    PhaseScope phase("dp\tpca");
+    acc.AddPureDp(0.1, mechanism);
+  }
+  json::Value root;
+  std::string error;
+  ASSERT_TRUE(json::Parse(PrivacyLedger::Global().ToJson(), &root, &error))
+      << error;
+  const json::Value* entries = root.Find("entries");
+  ASSERT_NE(entries, nullptr);
+  ASSERT_EQ(entries->items.size(), 1u);
+  EXPECT_EQ(entries->items[0].StringOr("phase", ""), "dp\tpca");
+  EXPECT_EQ(entries->items[0].StringOr("mechanism", ""), mechanism);
 }
 
 TEST_F(ObsTest, DisabledSpansRecordNothing) {
@@ -790,6 +812,71 @@ TEST(FlightRecorderTest, RingWrapCountsOverwrites) {
   writer.join();
   EXPECT_GE(flight.OverwrittenCount(), before + (200 - 64));
   flight.SetCapacityPerThread(4096);
+}
+
+TEST(FlightRecorderTest, DumpKeepsEachThreadsRing) {
+  FlightRecorder& flight = FlightRecorder::Global();
+  for (const char* label : {"test.ring.first", "test.ring.second"}) {
+    std::thread writer([&flight, label] {
+      flight.Record(FlightRecorder::EventKind::kRequest, label, 1, 2);
+    });
+    writer.join();
+  }
+  const std::string path = ::testing::TempDir() + "p3gm_flight_rings.dump";
+  ASSERT_TRUE(flight.DumpToFile(path.c_str()));
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string dump = buffer.str();
+  std::remove(path.c_str());
+  const std::size_t first = dump.find("request test.ring.first");
+  const std::size_t second = dump.find("request test.ring.second");
+  ASSERT_NE(first, std::string::npos) << dump;
+  ASSERT_NE(second, std::string::npos) << dump;
+  // Each label sits under the "-- thread" header of its own ring.
+  EXPECT_NE(dump.rfind("-- thread ", first), dump.rfind("-- thread ", second))
+      << dump;
+}
+
+// ---------------------------------------------------------- event ring
+
+TEST(EventRingTest, ConcurrentWritersWrapAndStayIntact) {
+  constexpr int kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 10000;
+  EventRing<3> ring(1024);
+  ASSERT_EQ(ring.capacity(), 1024u);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&ring, w] {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        const std::uint64_t record[3] = {static_cast<std::uint64_t>(w), i,
+                                         ~i};
+        ring.Append(record, 3);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(ring.written(), kWriters * kPerWriter);
+  EXPECT_EQ(ring.lost(), kWriters * kPerWriter - 1024);
+
+  std::uint64_t visited = 0;
+  bool intact = true;
+  std::vector<std::uint64_t> next(kWriters, 0);  // Lowest i still allowed.
+  const std::uint64_t skipped = ring.ForEach([&](const std::uint64_t* r) {
+    ++visited;
+    if (r[0] >= kWriters || r[2] != ~r[1] || r[1] < next[r[0]]) {
+      intact = false;
+      return;
+    }
+    next[r[0]] = r[1] + 1;
+  });
+  EXPECT_EQ(skipped, 0u);
+  EXPECT_EQ(visited, 1024u);
+  EXPECT_TRUE(intact);
+
+  ring.Clear();
+  EXPECT_EQ(ring.written(), 0u);
+  EXPECT_EQ(ring.ForEach([](const std::uint64_t*) { FAIL(); }), 0u);
 }
 
 // --------------------------------------------------------- prometheus

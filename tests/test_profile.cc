@@ -1,7 +1,7 @@
 // Tests for the sampling CPU profiler and the sampled heap profiler
 // (src/obs/profile/). The CPU suite exercises the full signal path —
-// real SIGPROF delivery into the lock-free rings — so running it under
-// the TSan / ASan+UBSan presets is exactly the signal-handler-safety
+// real SIGPROF delivery into the shared lock-free ring — so running it
+// under the TSan / ASan+UBSan presets is exactly the signal-handler-safety
 // audit the `profile` ctest label exists for (tools/run_audits.sh).
 
 #include <gtest/gtest.h>
@@ -42,10 +42,12 @@
 #define P3GM_UNDER_SANITIZER 0
 #endif
 
-// Like ProfileTestBusyWork below: external linkage + noinline so the
-// frame symbolizes by name. Deliberately at global scope — the heap
-// profiler strips `obs::profile::` frames as hook-internal, and an
-// application allocation site must survive that strip.
+// External linkage + noinline so the frames below symbolize by name via
+// the exported dynamic table — the same property the acceptance
+// criterion demands of infer::DecoderPlan::Execute in serve profiles.
+// Deliberately at global scope: both profilers strip `obs::profile::`
+// frames off the leaf end as their own, and an application frame must
+// survive that strip.
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
@@ -59,13 +61,6 @@ std::size_t ProfileTestHeapWork(std::size_t rounds) {
   return total;
 }
 
-namespace p3gm {
-namespace obs {
-namespace profile {
-
-// External linkage + noinline so the frame symbolizes by name via the
-// exported dynamic table — the same property the acceptance criterion
-// demands of infer::DecoderPlan::Execute in serve profiles.
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
@@ -82,6 +77,9 @@ std::uint64_t ProfileTestBusyWork(std::uint64_t iterations) {
   return acc;
 }
 
+namespace p3gm {
+namespace obs {
+namespace profile {
 namespace {
 
 // Burns CPU until the profiler has captured at least `want` samples (or
@@ -120,7 +118,7 @@ TEST(CpuProfilerTest, StartStopProducesFoldedSamples) {
       EXPECT_LE(profile->folded[i].weight, profile->folded[i - 1].weight);
     }
   }
-  EXPECT_LE(total, profile->samples);
+  EXPECT_EQ(total, profile->samples);
   EXPECT_GT(total, 0u);
 }
 
@@ -200,10 +198,6 @@ TEST(CpuProfilerTest, RejectsOutOfRangeOptions) {
   options.hz = 1001;
   EXPECT_EQ(CpuProfiler::Global().Start(options).code(),
             util::StatusCode::kInvalidArgument);
-  options.hz = 99;
-  options.ring_capacity = 1;
-  EXPECT_EQ(CpuProfiler::Global().Start(options).code(),
-            util::StatusCode::kInvalidArgument);
 }
 
 // The satellite-task safety assertion: the sampling path performs no
@@ -217,9 +211,8 @@ TEST(CpuProfilerTest, HandlerPathDoesNotAllocate) {
   CpuProfileOptions options;
   options.hz = 997;  // As hot as the sampler goes.
   ASSERT_TRUE(CpuProfiler::Global().Start(options).ok());
-  // One warm-up burst first: ring claim and libgcc state settle, and
-  // the current thread's heap-sampling countdown is past its first
-  // stride.
+  // One warm-up burst first: libgcc state settles, and the current
+  // thread's heap-sampling countdown is past its first stride.
   const volatile std::uint64_t warm = BusyUntilSamples(5);
   (void)warm;
   perf::AllocScope scope;
@@ -253,7 +246,7 @@ TEST(CpuProfilerTest, SamplesAcrossThreads) {
   // that fired.
   std::uint64_t total = 0;
   for (const FoldedStack& fs : profile->folded) total += fs.weight;
-  EXPECT_LE(total, profile->samples);
+  EXPECT_EQ(total, profile->samples);
 }
 
 TEST(CpuProfilerTest, PublishesRegistryGaugesOnStop) {

@@ -7,7 +7,9 @@
 #   tools/run_audits.sh [build_dir]          # slow audits in build_dir
 #   P3GM_AUDIT_SANITIZE=1 tools/run_audits.sh
 #       also configures build-asan/ with -DP3GM_SANITIZE=address,undefined
-#       and reruns the audit labels there.
+#       and reruns the audit labels there, and configures build-tsan/
+#       with -DP3GM_SANITIZE=thread and runs the `threads` label there
+#       (the thread pool, the obs rings, the profilers, serve stress).
 #
 # Every suite runs even if an earlier one fails; the exit status is
 # nonzero if any audit failed.
@@ -61,6 +63,13 @@ if [ "${P3GM_AUDIT_SANITIZE:-0}" != "0" ]; then
     --output-on-failure -j4 || failures=$((failures + 1))
   echo "== profiler signal-handler safety under ASan+UBSan ($asan_dir) =="
   ctest --test-dir "$asan_dir" -L profile \
+    --output-on-failure || failures=$((failures + 1))
+
+  tsan_dir="$repo_root/build-tsan"
+  echo "== thread and signal-handler safety under TSan ($tsan_dir) =="
+  cmake -B "$tsan_dir" -S "$repo_root" -DP3GM_SANITIZE=thread
+  cmake --build "$tsan_dir" -j
+  ctest --test-dir "$tsan_dir" -L threads \
     --output-on-failure || failures=$((failures + 1))
 fi
 
