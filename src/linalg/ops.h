@@ -20,13 +20,16 @@ namespace linalg {
 ///
 /// The four products (Matmul, MatmulTransA, MatmulTransB, Syrk) keep one
 /// contract: each output element sums its terms over p in ascending order
-/// from +0.0, a multiply then an add per term, with no FMA. They share one
-/// 4 x 4 register tile that runs over k-major panels of 4 packed columns.
-/// No single zero term is skipped; for finite input a skip would be
-/// bit-neutral anyway, since adding +-0.0 to a sum that started at +0.0
-/// never changes it. With inf or NaN in one operand, a zero in the other
-/// gives a NaN term, so such a result may be NaN where a loop that skips
-/// zero terms gives a number.
+/// from +0.0, a multiply then an add per term, with no FMA. They run one
+/// register tile over k-major panels of packed columns, on one of two
+/// tiers that each process picks once from CPUID (linalg/tier.h): an
+/// AVX-512F 8 x 8 tile over 8-wide panels where the CPU has it, else the
+/// portable SSE2/NEON 4 x 4 tile over 4-wide panels. Both tiers give the
+/// same bits. No single zero term is skipped; for finite input a skip
+/// would be bit-neutral anyway, since adding +-0.0 to a sum that started
+/// at +0.0 never changes it. With inf or NaN in one operand, a zero in
+/// the other gives a NaN term, so such a result may be NaN where a loop
+/// that skips zero terms gives a number.
 
 /// C = A * B, with A (m x k) and B (k x n).
 Matrix Matmul(const Matrix& a, const Matrix& b);
@@ -77,12 +80,12 @@ void ScaleRows(const std::vector<double>& s, Matrix* m);
 
 /// Symmetric rank-k: returns A^T A (cols x cols), exploiting symmetry;
 /// for finite input bit-equal to MatmulTransA(A, A) at any thread count.
-/// Rows are processed in L2-sized blocks; 4 x 4 register tiles of the
+/// Rows are processed in L2-sized blocks; the register tiles of the
 /// upper triangle are dealt evenly over the pool and carry their partial
 /// sums from block to block. Per block, a tile whose rows are all zero in
-/// one of its two 4-column panels is skipped (so a triangular A costs
-/// about a third of a dense one); with inf or NaN in A this skip may give
-/// a number where MatmulTransA gives NaN.
+/// one of its two column panels is skipped (so a triangular A costs about
+/// a third of a dense one); with inf or NaN in A this skip may give a
+/// number where MatmulTransA gives NaN.
 Matrix Syrk(const Matrix& a);
 
 /// Max absolute difference between equally shaped matrices.

@@ -1,5 +1,6 @@
 #include "obs/bench/compare.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -54,20 +55,27 @@ Comparison CompareEntry(const BenchResult& base, const BenchResult& cand,
 }
 
 double DriftFactor(const BenchFileData& base, const BenchFileData& cand) {
-  double log_sum = 0.0;
-  int shared = 0;
+  std::vector<double> log_ratios;
   for (const BenchResult& b : base.benchmarks) {
     const BenchResult* c = cand.Find(b.name);
     if (c == nullptr || b.stats.median <= 0.0 || c->stats.median <= 0.0) {
       continue;
     }
-    log_sum += std::log(c->stats.median / b.stats.median);
-    ++shared;
+    log_ratios.push_back(std::log(c->stats.median / b.stats.median));
   }
   // One shared benchmark cannot be told apart from the machine; leave
   // it un-normalized so a genuine single-bench regression still gates.
+  const std::size_t shared = log_ratios.size();
   if (shared < 2) return 1.0;
-  return std::exp(log_sum / static_cast<double>(shared));
+  // The median ratio, so a minority of benchmarks that a change really
+  // sped up or slowed down does not move the factor; for an even count,
+  // the geometric mean of the two middle ratios.
+  std::sort(log_ratios.begin(), log_ratios.end());
+  const double mid = shared % 2 == 1
+                         ? log_ratios[shared / 2]
+                         : 0.5 * (log_ratios[shared / 2 - 1] +
+                                  log_ratios[shared / 2]);
+  return std::exp(mid);
 }
 
 std::vector<Comparison> CompareFiles(const BenchFileData& base,

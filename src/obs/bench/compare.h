@@ -35,12 +35,14 @@ struct CompareOptions {
   double min_rel_regress = 0.35;
   bool fail_on_missing = false;  // Baseline benchmark absent from cand.
   // Cancel uniform machine drift before judging: divide every candidate
-  // median (and CI) by the geometric mean of the cand/base median
-  // ratios over the shared benchmarks. On shared/container builders the
-  // whole suite runs 1.3-1.7x slower in some phases (host contention) —
-  // a common factor that would otherwise swamp any per-benchmark rule.
-  // Blind spot, by construction: a change that slows *every* benchmark
-  // by the same factor is indistinguishable from machine drift and is
+  // median (and CI) by the median of the cand/base median ratios over
+  // the shared benchmarks. On shared or container hosts the whole suite
+  // runs 1.3-1.7x slower in some phases (host contention) — a common
+  // factor that would otherwise swamp any per-benchmark rule. The median
+  // ignores a minority of benchmarks that a change really moved, so a
+  // few 4x-faster kernels cannot make the flat rest read as regressions.
+  // Blind spot, by construction: a change that slows most benchmarks by
+  // the same factor is indistinguishable from machine drift and is
   // reported (as the drift factor) but not gated.
   bool normalize_drift = true;
 };
@@ -70,9 +72,10 @@ struct Comparison {
 Comparison CompareEntry(const BenchResult& base, const BenchResult& cand,
                         const CompareOptions& options, double drift = 1.0);
 
-/// Geometric mean of the cand/base median ratios over benchmarks
-/// present in both files (1.0 when fewer than 2 are shared — one
-/// benchmark cannot be told apart from the machine).
+/// Median of the cand/base median ratios over benchmarks present in
+/// both files; for an even count, the geometric mean of the two middle
+/// ratios (1.0 when fewer than 2 are shared — one benchmark cannot be
+/// told apart from the machine).
 double DriftFactor(const BenchFileData& base, const BenchFileData& cand);
 
 /// Full diff in baseline order, with candidate-only entries appended.

@@ -383,9 +383,9 @@ TEST(BenchCompare, UniformSlowdownIsNormalizedAwayAsMachineDrift) {
 }
 
 TEST(BenchCompare, SingleBenchRegressionSurvivesNormalization) {
-  // One benchmark 3x slower while five stay flat: the 3x leaks only
-  // 3^(1/6) ~ 1.20 into the geomean, so the normalized ratio ~2.5 still
-  // clears the slack and the flat benchmarks stay kSame.
+  // One benchmark 3x slower while five stay flat: the median ratio
+  // ignores the outlier, so the drift factor stays 1.0, the 3x clears
+  // the slack and the flat benchmarks stay kSame.
   BenchFileData base, cand;
   for (const char* name : {"a", "b", "c", "d", "e"}) {
     base.benchmarks.push_back(MakeResult(name, 1.0, 0.99, 1.01));
@@ -395,8 +395,7 @@ TEST(BenchCompare, SingleBenchRegressionSurvivesNormalization) {
   cand.benchmarks.push_back(MakeResult("hot", 3.0, 2.97, 3.03));
 
   const CompareOptions opt;
-  const double drift = DriftFactor(base, cand);
-  EXPECT_NEAR(drift, std::pow(3.0, 1.0 / 6.0), 1e-12);
+  EXPECT_DOUBLE_EQ(DriftFactor(base, cand), 1.0);
   const std::vector<Comparison> cs = CompareFiles(base, cand, opt);
   ASSERT_EQ(cs.size(), 6u);
   for (const Comparison& c : cs) {
@@ -405,6 +404,39 @@ TEST(BenchCompare, SingleBenchRegressionSurvivesNormalization) {
         << c.name;
   }
   EXPECT_TRUE(GateFails(cs, opt));
+}
+
+TEST(BenchCompare, MinoritySpeedupIsNotMachineDrift) {
+  // A change that makes six kernels 4x faster and leaves nine flat. A
+  // geometric-mean factor (0.25^(6/15) ~ 0.57) would read the flat nine
+  // as 1.74x slower and fail the gate; the median ratio is the flat
+  // benchmarks' 1.0.
+  BenchFileData base, cand;
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "fast" + std::to_string(i);
+    base.benchmarks.push_back(MakeResult(name, 1.0, 0.99, 1.01));
+    cand.benchmarks.push_back(MakeResult(name, 0.25, 0.2475, 0.2525));
+  }
+  for (int i = 0; i < 9; ++i) {
+    const std::string name = "flat" + std::to_string(i);
+    base.benchmarks.push_back(MakeResult(name, 1.0, 0.99, 1.01));
+    cand.benchmarks.push_back(MakeResult(name, 1.0, 0.99, 1.01));
+  }
+  const CompareOptions opt;
+  EXPECT_DOUBLE_EQ(DriftFactor(base, cand), 1.0);
+  const std::vector<Comparison> cs = CompareFiles(base, cand, opt);
+  ASSERT_EQ(cs.size(), 15u);
+  int improved = 0, same = 0;
+  for (const Comparison& c : cs) {
+    if (c.verdict == Verdict::kImproved) ++improved;
+    if (c.verdict == Verdict::kSame) ++same;
+    EXPECT_EQ(c.verdict, c.name.rfind("fast", 0) == 0 ? Verdict::kImproved
+                                                      : Verdict::kSame)
+        << c.name;
+  }
+  EXPECT_EQ(improved, 6);
+  EXPECT_EQ(same, 9);
+  EXPECT_FALSE(GateFails(cs, opt));
 }
 
 TEST(BenchCompare, DriftFactorNeedsTwoSharedBenchmarks) {

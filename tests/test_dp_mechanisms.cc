@@ -199,11 +199,11 @@ linalg::Matrix DenseBartlettWishart(std::size_t d, double df, double c,
 }
 
 TEST(WishartTest, MatchesDenseBartlettProductExactly) {
-  // Sizes around Syrk's 4-wide tile and its 256-row block: below, at and
-  // past each, so the all-zero tiles above the factor's diagonal are
-  // skipped in the first block and later ones.
-  for (const std::size_t d :
-       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u, 64u, 101u, 256u, 257u, 300u}) {
+  // Sizes around Syrk's 4- and 8-wide tiles and its 256-row block:
+  // below, at and past each, so the all-zero tiles above the factor's
+  // diagonal are skipped in the first block and later ones.
+  for (const std::size_t d : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u, 15u, 16u,
+                              17u, 64u, 101u, 256u, 257u, 300u}) {
     const double df = static_cast<double>(d) + 1.0, c = 0.37;
     util::Rng got_rng(500 + d), want_rng(500 + d);
     const auto got = SampleWishart(d, df, c, &got_rng);

@@ -9,11 +9,14 @@
 #include "linalg/covariance.h"
 #include "linalg/matrix.h"
 #include "linalg/ops.h"
+#include "linalg/tier.h"
 #include "util/rng.h"
 
 namespace p3gm {
 namespace linalg {
 namespace {
+
+using internal::Tier;
 
 Matrix RandomMatrix(std::size_t r, std::size_t c, util::Rng* rng) {
   Matrix m(r, c);
@@ -81,8 +84,9 @@ Matrix ReferenceMatmulTransB(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-// Plants signed zeros in `m`: scattered entries, the whole of row 2 and
-// the whole of columns 4-7 (one 4-wide panel).
+// Plants signed zeros in `m`: scattered entries, the whole of row 2, the
+// whole of columns 4-7 (one 4-wide panel) and of columns 16-23 (one
+// 8-wide panel).
 void PlantZeros(Matrix* m) {
   for (std::size_t i = 0; i < m->size(); i += 5) {
     m->data()[i] = i % 2 ? 0.0 : -0.0;
@@ -91,11 +95,121 @@ void PlantZeros(Matrix* m) {
     for (std::size_t j = 0; j < m->cols(); ++j) (*m)(2, j) = -0.0;
   }
   for (std::size_t i = 0; i < m->rows(); ++i) {
-    for (std::size_t j = 4; j < std::min<std::size_t>(m->cols(), 8); ++j) {
-      (*m)(i, j) = j % 2 ? 0.0 : -0.0;
+    for (std::size_t j = 0; j < m->cols(); ++j) {
+      if ((j >= 4 && j < 8) || (j >= 16 && j < 24)) {
+        (*m)(i, j) = j % 2 ? 0.0 : -0.0;
+      }
     }
   }
 }
+
+// Runs the three gemms on `tier` against the reference loops, on dense
+// input, planted zeros and NaN in the left operand.
+void ExpectGemmFamilyMatchesReference(Tier tier, std::size_t m,
+                                      std::size_t k, std::size_t n,
+                                      util::Rng* rng) {
+  const std::string dims = std::string(internal::TierName(tier)) + " " +
+                           std::to_string(m) + "x" + std::to_string(k) +
+                           "x" + std::to_string(n);
+  for (const std::string input : {"dense", "zeros", "nan"}) {
+    Matrix a = RandomMatrix(m, k, rng);   // m x k
+    Matrix at = RandomMatrix(k, m, rng);  // k x m
+    Matrix b = RandomMatrix(k, n, rng);   // k x n
+    Matrix bt = RandomMatrix(n, k, rng);  // n x k
+    if (input == "zeros") {
+      for (Matrix* x : {&a, &at, &b, &bt}) PlantZeros(x);
+    } else if (input == "nan") {
+      a(m / 2, k / 2) = std::nan("");
+      at(k / 2, m / 2) = std::nan("");
+    }
+    const std::string what = dims + " " + input;
+    ExpectSameBits(internal::Matmul(tier, a, b), ReferenceMatmul(a, b),
+                   "Matmul " + what);
+    ExpectSameBits(internal::MatmulTransA(tier, at, b),
+                   ReferenceMatmulTransA(at, b), "MatmulTransA " + what);
+    ExpectSameBits(internal::MatmulTransB(tier, a, bt),
+                   ReferenceMatmulTransB(a, bt), "MatmulTransB " + what);
+  }
+}
+
+// Every element sums p ascending from +0.0, a multiply then an add per
+// term, exactly as the reference loops do, on every tier. m and n cross
+// the edges of the 4- and 8-wide tiles (1-9, 15-17) and k those of the
+// 256-deep blocks; the large shapes are the DP-SGD products of a
+// 784-wide image model and a product the pool splits.
+void ExpectGemmFamilyMatchesReferenceLoops(Tier tier) {
+  const std::size_t edges[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17};
+  const std::size_t depths[] = {1, 255, 256, 257, 513};
+  util::Rng rng(13);
+  for (std::size_t m : edges) {
+    for (std::size_t n : edges) {
+      for (std::size_t k : depths) {
+        ExpectGemmFamilyMatchesReference(tier, m, k, n, &rng);
+      }
+    }
+  }
+  const std::size_t shapes[][3] = {{241, 100, 10},
+                                   {240, 784, 100},
+                                   {240, 100, 784},
+                                   {37, 256, 257}};
+  for (const auto& shape : shapes) {
+    ExpectGemmFamilyMatchesReference(tier, shape[0], shape[1], shape[2],
+                                     &rng);
+  }
+}
+
+// A single left panel (m up to the tile width) reads the right operand
+// in place (Matmul, MatmulTransA) or packs each right panel where it is
+// used (MatmulTransB); the shapes are a batch-1 to batch-8 decode.
+void ExpectSingleLeftPanelMatchesReferenceLoops(Tier tier) {
+  util::Rng rng(17);
+  for (std::size_t m = 1; m <= 8; ++m) {
+    ExpectGemmFamilyMatchesReference(tier, m, 64, 512, &rng);
+    ExpectGemmFamilyMatchesReference(tier, m, 512, 786, &rng);
+  }
+}
+
+// Syrk sums each element over the data rows in ascending order, exactly
+// like the reference A^T A loop. The shapes cross every edge of its
+// blocking: widths that are not a multiple of the 4- or 8-wide tile, row
+// counts below, at and across the 256-row block, and a single column.
+void ExpectSyrkMatchesExplicit(Tier tier) {
+  const std::size_t shapes[][2] = {
+      {6, 4},   {1, 5},   {3, 1},    {255, 9},  {256, 8},   {257, 3},
+      {300, 7}, {600, 1}, {513, 13}, {777, 30}, {256, 16},  {300, 17},
+      {40, 15}, {9, 24},  {513, 25}, {257, 31}};
+  util::Rng rng(11);
+  for (const auto& shape : shapes) {
+    Matrix a = RandomMatrix(shape[0], shape[1], &rng);
+    // Planted signed zeros: scattered entries, a whole row, and columns
+    // 4-7 and 16-23 over the first row block, whose tiles Syrk then
+    // skips there on the 4- and the 8-wide tier.
+    for (std::size_t i = 0; i < a.rows(); i += 5) a(i, 0) = 0.0;
+    for (std::size_t i = 2; i < a.rows(); i += 7) {
+      a(i, a.cols() - 1) = -0.0;
+    }
+    if (a.rows() > 10) {
+      for (std::size_t j = 0; j < a.cols(); ++j) a(10, j) = -0.0;
+    }
+    for (std::size_t i = 0; i < std::min<std::size_t>(a.rows(), 256); ++i) {
+      for (std::size_t j = 0; j < a.cols(); ++j) {
+        if ((j >= 4 && j < 8) || (j >= 16 && j < 24)) {
+          a(i, j) = i % 2 ? 0.0 : -0.0;
+        }
+      }
+    }
+    const Matrix got = internal::Syrk(tier, a);
+    const Matrix want = ReferenceMatmulTransA(a, a);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << internal::TierName(tier) << " " << shape[0] << "x" << shape[1];
+  }
+}
+
+constexpr char kNoAvx512[] =
+    "the CPU (or this build) does not support AVX-512F";
 
 // ---------------------------------------------------------------- Matrix
 
@@ -234,39 +348,29 @@ TEST(OpsTest, TransposeVariantsAgreeWithExplicitTranspose) {
   ExpectSameBits(MatmulTransB(a, c), Matmul(a, c.Transposed()), "TransB");
 }
 
+TEST(OpsTest, ActiveTierIsTheWidestSupported) {
+  EXPECT_TRUE(internal::TierSupported(Tier::kPortable));
+  EXPECT_EQ(internal::ActiveTier(), internal::TierSupported(Tier::kAvx512)
+                                        ? Tier::kAvx512
+                                        : Tier::kPortable);
+}
+
 TEST(OpsTest, GemmFamilyMatchesReferenceLoops) {
-  // Every element sums p ascending from +0.0, a multiply then an add per
-  // term, exactly as the reference loops do. The shapes (m x k x n) cross
-  // the edges of the 4-wide tiles and of the 256-deep blocks, and include
-  // the DP-SGD products of a 784-wide image model.
-  const std::size_t shapes[][3] = {
-      {1, 1, 1},       {3, 5, 2},        {4, 4, 4},
-      {5, 7, 9},       {17, 33, 13},     {241, 100, 10},
-      {240, 784, 100}, {240, 100, 784},  {37, 256, 257}};
-  util::Rng rng(13);
-  for (const auto& shape : shapes) {
-    const std::size_t m = shape[0], k = shape[1], n = shape[2];
-    const std::string dims = std::to_string(m) + "x" + std::to_string(k) +
-                             "x" + std::to_string(n);
-    for (const std::string input : {"dense", "zeros", "nan"}) {
-      Matrix a = RandomMatrix(m, k, &rng);   // m x k
-      Matrix at = RandomMatrix(k, m, &rng);  // k x m
-      Matrix b = RandomMatrix(k, n, &rng);   // k x n
-      Matrix bt = RandomMatrix(n, k, &rng);  // n x k
-      if (input == "zeros") {
-        for (Matrix* x : {&a, &at, &b, &bt}) PlantZeros(x);
-      } else if (input == "nan") {
-        a(m / 2, k / 2) = std::nan("");
-        at(k / 2, m / 2) = std::nan("");
-      }
-      const std::string what = dims + " " + input;
-      ExpectSameBits(Matmul(a, b), ReferenceMatmul(a, b), "Matmul " + what);
-      ExpectSameBits(MatmulTransA(at, b), ReferenceMatmulTransA(at, b),
-                     "MatmulTransA " + what);
-      ExpectSameBits(MatmulTransB(a, bt), ReferenceMatmulTransB(a, bt),
-                     "MatmulTransB " + what);
-    }
-  }
+  ExpectGemmFamilyMatchesReferenceLoops(Tier::kPortable);
+}
+
+TEST(OpsTest, GemmFamilyMatchesReferenceLoopsOnAvx512) {
+  if (!internal::TierSupported(Tier::kAvx512)) GTEST_SKIP() << kNoAvx512;
+  ExpectGemmFamilyMatchesReferenceLoops(Tier::kAvx512);
+}
+
+TEST(OpsTest, SingleLeftPanelMatchesReferenceLoops) {
+  ExpectSingleLeftPanelMatchesReferenceLoops(Tier::kPortable);
+}
+
+TEST(OpsTest, SingleLeftPanelMatchesReferenceLoopsOnAvx512) {
+  if (!internal::TierSupported(Tier::kAvx512)) GTEST_SKIP() << kNoAvx512;
+  ExpectSingleLeftPanelMatchesReferenceLoops(Tier::kAvx512);
 }
 
 TEST(OpsTest, MatVecMatchesMatmul) {
@@ -353,39 +457,12 @@ TEST(OpsTest, ScaleRows) {
 }
 
 TEST(OpsTest, SyrkMatchesExplicit) {
-  // Syrk sums each element over the data rows in ascending order, exactly
-  // like the reference A^T A loop. The shapes cross every edge of its
-  // blocking: a width that is not a multiple of the 4-wide tile, row
-  // counts below, at and across the 256-row block, and a single column.
-  const std::size_t shapes[][2] = {{6, 4},   {1, 5},    {3, 1},
-                                   {255, 9}, {256, 8},  {257, 3},
-                                   {300, 7}, {600, 1},  {513, 13},
-                                   {777, 30}};
-  util::Rng rng(11);
-  for (const auto& shape : shapes) {
-    Matrix a = RandomMatrix(shape[0], shape[1], &rng);
-    // Planted signed zeros: scattered entries, a whole row, and columns
-    // 4-7 over the first row block, whose tiles Syrk then skips there.
-    for (std::size_t i = 0; i < a.rows(); i += 5) a(i, 0) = 0.0;
-    for (std::size_t i = 2; i < a.rows(); i += 7) {
-      a(i, a.cols() - 1) = -0.0;
-    }
-    if (a.rows() > 10) {
-      for (std::size_t j = 0; j < a.cols(); ++j) a(10, j) = -0.0;
-    }
-    for (std::size_t i = 0; i < std::min<std::size_t>(a.rows(), 256); ++i) {
-      for (std::size_t j = 4; j < std::min<std::size_t>(a.cols(), 8); ++j) {
-        a(i, j) = i % 2 ? 0.0 : -0.0;
-      }
-    }
-    const Matrix got = Syrk(a);
-    const Matrix want = ReferenceMatmulTransA(a, a);
-    ASSERT_EQ(got.size(), want.size());
-    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                          want.size() * sizeof(double)),
-              0)
-        << shape[0] << "x" << shape[1];
-  }
+  ExpectSyrkMatchesExplicit(Tier::kPortable);
+}
+
+TEST(OpsTest, SyrkMatchesExplicitOnAvx512) {
+  if (!internal::TierSupported(Tier::kAvx512)) GTEST_SKIP() << kNoAvx512;
+  ExpectSyrkMatchesExplicit(Tier::kAvx512);
 }
 
 // -------------------------------------------------------------- Cholesky

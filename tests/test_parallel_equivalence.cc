@@ -19,6 +19,7 @@
 #include "obs/trace.h"
 #include "linalg/matrix.h"
 #include "linalg/ops.h"
+#include "linalg/tier.h"
 #include "nn/activations.h"
 #include "nn/dp_sgd.h"
 #include "nn/linear.h"
@@ -66,37 +67,84 @@ void ExpectThreadInvariant(Fn fn, const char* what) {
 // ------------------------------------------------------------- linalg
 
 // Gemm shapes (m x k x n): ragged tile edges that run inline (the
-// d' = 10 head product) and split over the pool (37 x 256 x 257).
-constexpr std::size_t kGemmShapes[][3] = {
-    {83, 47, 31}, {241, 100, 10}, {37, 256, 257}};
+// d' = 10 head product), a single left panel on the 8-wide tier whose
+// right-operand pack the pool splits on the 4-wide one (5 x 300 x 200),
+// a product whose pack and tiles the pool splits (37 x 256 x 257), and
+// one across the 8-wide edges and three depth blocks (9 x 513 x 17).
+constexpr std::size_t kGemmShapes[][3] = {{83, 47, 31},
+                                          {241, 100, 10},
+                                          {37, 256, 257},
+                                          {5, 300, 200},
+                                          {9, 513, 17}};
 
-TEST(ParallelEquivalenceTest, Matmul) {
+using linalg::internal::Tier;
+
+constexpr char kNoAvx512[] =
+    "the CPU (or this build) does not support AVX-512F";
+
+void ExpectMatmulThreadInvariant(Tier tier) {
   std::uint64_t seed = 1;
   for (const auto& s : kGemmShapes) {
     const linalg::Matrix a = RandomMatrix(s[0], s[1], seed++);
     const linalg::Matrix b = RandomMatrix(s[1], s[2], seed++);
-    ExpectThreadInvariant([&] { return linalg::Matmul(a, b); }, "Matmul");
+    ExpectThreadInvariant(
+        [&] { return linalg::internal::Matmul(tier, a, b); }, "Matmul");
   }
 }
 
-TEST(ParallelEquivalenceTest, MatmulTransA) {
+void ExpectMatmulTransAThreadInvariant(Tier tier) {
   std::uint64_t seed = 3;
   for (const auto& s : kGemmShapes) {
     const linalg::Matrix a = RandomMatrix(s[1], s[0], seed++);
     const linalg::Matrix b = RandomMatrix(s[1], s[2], seed++);
-    ExpectThreadInvariant([&] { return linalg::MatmulTransA(a, b); },
-                          "MatmulTransA");
+    ExpectThreadInvariant(
+        [&] { return linalg::internal::MatmulTransA(tier, a, b); },
+        "MatmulTransA");
   }
 }
 
-TEST(ParallelEquivalenceTest, MatmulTransB) {
+void ExpectMatmulTransBThreadInvariant(Tier tier) {
   std::uint64_t seed = 5;
   for (const auto& s : kGemmShapes) {
     const linalg::Matrix a = RandomMatrix(s[0], s[1], seed++);
     const linalg::Matrix b = RandomMatrix(s[2], s[1], seed++);
-    ExpectThreadInvariant([&] { return linalg::MatmulTransB(a, b); },
-                          "MatmulTransB");
+    ExpectThreadInvariant(
+        [&] { return linalg::internal::MatmulTransB(tier, a, b); },
+        "MatmulTransB");
   }
+}
+
+TEST(ParallelEquivalenceTest, Matmul) {
+  ExpectMatmulThreadInvariant(Tier::kPortable);
+}
+
+TEST(ParallelEquivalenceTest, MatmulOnAvx512) {
+  if (!linalg::internal::TierSupported(Tier::kAvx512)) {
+    GTEST_SKIP() << kNoAvx512;
+  }
+  ExpectMatmulThreadInvariant(Tier::kAvx512);
+}
+
+TEST(ParallelEquivalenceTest, MatmulTransA) {
+  ExpectMatmulTransAThreadInvariant(Tier::kPortable);
+}
+
+TEST(ParallelEquivalenceTest, MatmulTransAOnAvx512) {
+  if (!linalg::internal::TierSupported(Tier::kAvx512)) {
+    GTEST_SKIP() << kNoAvx512;
+  }
+  ExpectMatmulTransAThreadInvariant(Tier::kAvx512);
+}
+
+TEST(ParallelEquivalenceTest, MatmulTransB) {
+  ExpectMatmulTransBThreadInvariant(Tier::kPortable);
+}
+
+TEST(ParallelEquivalenceTest, MatmulTransBOnAvx512) {
+  if (!linalg::internal::TierSupported(Tier::kAvx512)) {
+    GTEST_SKIP() << kNoAvx512;
+  }
+  ExpectMatmulTransBThreadInvariant(Tier::kAvx512);
 }
 
 TEST(ParallelEquivalenceTest, RowSquaredNorms) {

@@ -27,8 +27,8 @@ int Usage() {
                "  --strict-missing    fail when a baseline benchmark is\n"
                "                      absent from the candidate\n"
                "  --no-normalize      do not divide out the suite-wide\n"
-               "                      machine-drift factor (geometric mean\n"
-               "                      of shared median ratios) before\n"
+               "                      machine-drift factor (median of the\n"
+               "                      shared median ratios) before\n"
                "                      judging\n");
   return 2;
 }

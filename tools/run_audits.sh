@@ -7,9 +7,16 @@
 #   tools/run_audits.sh [build_dir]          # slow audits in build_dir
 #   P3GM_AUDIT_SANITIZE=1 tools/run_audits.sh
 #       also configures build-asan/ with -DP3GM_SANITIZE=address,undefined
-#       and reruns the audit labels there, and configures build-tsan/
-#       with -DP3GM_SANITIZE=thread and runs the `threads` label there
-#       (the thread pool, the obs rings, the profilers, serve stress).
+#       and reruns the audit labels there (including `kernels`: the
+#       product tiles' ragged edges, padded panels and in-place reads),
+#       and configures build-tsan/ with -DP3GM_SANITIZE=thread and runs
+#       the `threads` label there (the thread pool, the obs rings, the
+#       profilers, serve stress).
+#
+# Every run also checks that the kernel libraries hold no FMA
+# instruction: the products promise a multiply then an add per term, and
+# only -ffp-contract=off keeps the compiler from fusing them where the
+# target (e.g. an avx512f function) offers FMA.
 #
 # Every suite runs even if an earlier one fails; the exit status is
 # nonzero if any audit failed.
@@ -47,6 +54,21 @@ echo "== profiler signal-handler safety =="
 ctest --test-dir "$build_dir" -L profile \
   --output-on-failure || failures=$((failures + 1))
 
+echo "== no FMA in the kernel libraries =="
+for lib in src/linalg/libp3gm_linalg.a src/nn/libp3gm_nn.a \
+           src/infer/libp3gm_infer.a; do
+  if ! code=$(objdump -d "$build_dir/$lib"); then
+    echo "run_audits.sh: cannot disassemble $lib" >&2
+    failures=$((failures + 1))
+    continue
+  fi
+  fused=$(grep -cE '\svfn?m(add|sub)' <<< "$code" || true)
+  if [ "$fused" -ne 0 ]; then
+    echo "run_audits.sh: $lib holds $fused FMA instruction(s)" >&2
+    failures=$((failures + 1))
+  fi
+done
+
 if [ "${P3GM_AUDIT_SANITIZE:-0}" != "0" ]; then
   asan_dir="$repo_root/build-asan"
   echo "== audit suite under ASan+UBSan ($asan_dir) =="
@@ -64,6 +86,9 @@ if [ "${P3GM_AUDIT_SANITIZE:-0}" != "0" ]; then
   echo "== profiler signal-handler safety under ASan+UBSan ($asan_dir) =="
   ctest --test-dir "$asan_dir" -L profile \
     --output-on-failure || failures=$((failures + 1))
+  echo "== product kernels under ASan+UBSan ($asan_dir) =="
+  ctest --test-dir "$asan_dir" -L kernels \
+    --output-on-failure -j4 || failures=$((failures + 1))
 
   tsan_dir="$repo_root/build-tsan"
   echo "== thread and signal-handler safety under TSan ($tsan_dir) =="
